@@ -12,12 +12,9 @@ violation, 3 capacity/capability error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,29 +46,6 @@ EXIT_CAPACITY = 3
 GAP_TOL = 1e-10
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PMLKIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise PmlError(f"PMLKIT_THREADS must be an integer, got {raw!r}") from None
-    if n == 0:
-        return os.cpu_count() or 1
-    if n < 0:
-        raise PmlError("PMLKIT_THREADS must be >= 0")
-    return n
-
-
-def _profile(model: JointModel) -> LeakageProfile:
-    threads = _thread_count()
-    outcomes = model.output_alphabet
-    if threads <= 1:
-        return leakage_profile(model)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        leakages = tuple(pool.map(lambda y: pml(model, y), outcomes.symbols))
-    return LeakageProfile(outcomes, leakages, model.marginal)
-
-
 def _header(args, model: JointModel = None) -> dict:
     head = {
         "tool": "pmlkit",
@@ -84,25 +58,24 @@ def _header(args, model: JointModel = None) -> dict:
     return head
 
 
-def _emit(args, document: dict) -> None:
-    text = json.dumps(jsonable(document), indent=2, sort_keys=True) + "\n"
+def _json(document: dict) -> str:
+    return json.dumps(jsonable(document), indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header_row, columns) -> str:
+    """CSV text from a header and equal-length columns (str(inf) is 'inf')."""
+    lines = [",".join(header_row)]
+    lines.extend(",".join(map(str, row)) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+def _emit(args, text: str) -> None:
+    """Write a finished report to ``--output``, or to stdout."""
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_csv(args, header_row, rows) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header_row) + "\n")
-    for row in rows:
-        buf.write(",".join("inf" if isinstance(c, float) and math.isinf(c) else str(c) for c in row) + "\n")
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
 
 
 def cmd_compute(args) -> int:
@@ -113,20 +86,21 @@ def cmd_compute(args) -> int:
         value = pml(model, y)
         doc = _header(args, model)
         doc.update({"command": "compute", "outcome": y, "leakage": value.in_units(units)})
-        _emit(args, doc)
+        _emit(args, _json(doc))
         return EXIT_OK
-    profile = _profile(model)
+    profile = leakage_profile(model)
     if args.format == "csv":
-        rows = [
-            (y, w, lv.in_units(units))
-            for y, w, lv in zip(profile.outcomes.symbols, profile.weights.probs, profile.leakages)
-        ]
-        _emit_csv(args, ("outcome", "p_y", f"leakage_{units}"), rows)
+        columns = (
+            profile.outcomes.symbols,
+            profile.weights.probs.tolist(),
+            profile.in_units(units).tolist(),
+        )
+        _emit(args, _csv(("outcome", "p_y", f"leakage_{units}"), columns))
         return EXIT_OK
     doc = _header(args, model)
     doc["command"] = "compute"
     doc["profile"] = profile_document(profile, units)
-    _emit(args, doc)
+    _emit(args, _json(doc))
     return EXIT_OK
 
 
@@ -205,7 +179,7 @@ def cmd_verify(args) -> int:
             "all_ok": all_ok,
         }
     )
-    _emit(args, doc)
+    _emit(args, _json(doc))
     return EXIT_OK if all_ok else EXIT_ORACLE
 
 
@@ -239,7 +213,7 @@ def cmd_continuous(args) -> int:
             density = to_density_model(model, grid.quantile_clip)
         except CapabilityError as exc:
             doc["grid_check"] = {"error": str(exc)}
-            _emit(args, doc)
+            _emit(args, _json(doc))
             return EXIT_CAPACITY
         result = pml_density(density, y, grid)
         doc["grid_check"] = {
@@ -247,37 +221,48 @@ def cmd_continuous(args) -> int:
             "gap": closed.in_units(args.units) - result.value.in_units(args.units),
             "argmax_x": result.argmax_x,
         }
-    _emit(args, doc)
+    _emit(args, _json(doc))
     return EXIT_OK
+
+
+def _cdf(profile: LeakageProfile):
+    """Distinct leakage values (ascending, nats) and P_Y(leakage <= value).
+
+    One stable sort, then each value's probability is one minus the mass of
+    the strictly larger values, summed from the top.
+    """
+    order = np.argsort(profile.nats_array(), kind="stable")
+    nats = profile.nats_array()[order]
+    starts = np.flatnonzero(np.concatenate(([True], nats[1:] != nats[:-1])))
+    mass = np.add.reduceat(profile.weights.probs[order], starts)
+    above = np.zeros_like(mass)
+    above[:-1] = np.cumsum(mass[:0:-1])[::-1]
+    return nats[starts], 1.0 - above
 
 
 def cmd_tail(args) -> int:
     model = load_model(args.channel, args.prior)
-    profile = _profile(model)
+    profile = leakage_profile(model)
     ln2 = math.log(2.0)
     scale = 1.0 if args.units == "nats" else 1.0 / ln2
     rows = []
     for eps in args.eps:
         eps_nats = eps if args.units == "nats" else eps * ln2
         rows.append({"eps": eps, "tail_probability": tail_probability(profile, eps_nats)})
-    values = sorted({lv.nats for lv in profile.leakages})
-    cdf = [1.0 - tail_probability(profile, v) for v in values]
     if args.format == "csv":
-        _emit_csv(
-            args,
-            ("eps", "tail_probability"),
-            [(r["eps"], r["tail_probability"]) for r in rows],
-        )
+        columns = ([r["eps"] for r in rows], [r["tail_probability"] for r in rows])
+        _emit(args, _csv(("eps", "tail_probability"), columns))
         return EXIT_OK
+    values, cdf = _cdf(profile)
     doc = _header(args, model)
     doc.update(
         {
             "command": "tail",
             "rows": rows,
-            "cdf": {"leakage": [v * scale for v in values], "probability": cdf},
+            "cdf": {"leakage": (values * scale).tolist(), "probability": cdf.tolist()},
         }
     )
-    _emit(args, doc)
+    _emit(args, _json(doc))
     return EXIT_OK
 
 

@@ -162,11 +162,28 @@ class DiscreteChannel:
         if deficits is None:
             deficits = np.zeros(self.input_alphabet.size)
         deficits = _readonly(deficits)
+        if deficits.shape != (self.input_alphabet.size,):
+            raise ValidationError(
+                f"row_deficits shape {deficits.shape} does not match "
+                f"input alphabet size {self.input_alphabet.size}"
+            )
         object.__setattr__(self, "row_deficits", deficits)
-        for i, symbol in enumerate(self.input_alphabet.symbols):
+        # Screen all rows at once with DiscreteDistribution's checks (a row
+        # sum along the contiguous axis equals the 1-D sum), then validate
+        # the flagged rows one by one so the error text is the same.
+        totals = matrix.sum(axis=1) + deficits
+        suspect = ~(
+            np.all(matrix >= 0, axis=1)
+            & np.all(np.isfinite(matrix), axis=1)
+            & (deficits >= 0)
+            & (deficits <= MAX_DEFICIT)
+            & (np.abs(totals - 1.0) <= SUM_ATOL)
+        )
+        for i in np.flatnonzero(suspect):
             try:
                 DiscreteDistribution(self.output_alphabet, matrix[i], float(deficits[i]))
             except ValidationError as exc:
+                symbol = self.input_alphabet.symbols[i]
                 raise ValidationError(f"channel row for input {symbol!r}: {exc}") from None
 
     def row(self, x: Symbol) -> DiscreteDistribution:

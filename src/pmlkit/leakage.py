@@ -20,6 +20,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .distributions import (
+    MAX_DEFICIT,
+    SUM_ATOL,
     Alphabet,
     DiscreteDistribution,
     JointModel,
@@ -60,27 +62,49 @@ class LeakageValue:
         return self.nats
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class LeakageProfile:
-    """The map y -> leakage(X -> y) together with the output law P_Y."""
+    """The map y -> leakage(X -> y) together with the output law P_Y.
+
+    The leakages (``LeakageValue``s or plain nats) are stored as one
+    read-only float array of nats, which ``nats_array`` returns.
+    """
 
     outcomes: Alphabet
-    leakages: Tuple[LeakageValue, ...]
     weights: DiscreteDistribution
+    _nats: np.ndarray = dataclasses.field(repr=False)
 
-    def __post_init__(self):
-        if len(self.leakages) != self.outcomes.size:
+    def __init__(self, outcomes: Alphabet, leakages, weights: DiscreteDistribution):
+        nats = np.array(leakages, dtype=float)
+        nats.setflags(write=False)
+        if nats.shape != (outcomes.size,):
             raise ValidationError("one leakage value per outcome required")
-        if self.weights.alphabet.symbols != self.outcomes.symbols:
+        bad = np.flatnonzero(~(nats >= 0))
+        if bad.size:
+            raise ValidationError(f"leakage must be >= 0, got {float(nats[bad[0]])!r}")
+        if weights.alphabet.symbols != outcomes.symbols:
             raise AlphabetMismatchError("weights must live on the outcome alphabet")
-        for lv, w in zip(self.leakages, self.weights.probs):
-            if w == 0.0 and lv.nats != 0.0:
-                raise ValidationError(
-                    "zero-probability outcomes must carry zero leakage"
-                )
+        if np.any((weights.probs == 0.0) & (nats != 0.0)):
+            raise ValidationError("zero-probability outcomes must carry zero leakage")
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_nats", nats)
+
+    @property
+    def leakages(self) -> Tuple[LeakageValue, ...]:
+        return tuple(LeakageValue(v) for v in self._nats.tolist())
 
     def nats_array(self) -> np.ndarray:
-        return np.array([lv.nats for lv in self.leakages])
+        """The leakages in nats, read-only and not copied."""
+        return self._nats
+
+    def in_units(self, units: str) -> np.ndarray:
+        """The leakages converted as ``LeakageValue.in_units`` converts one."""
+        if units == "nats":
+            return self._nats
+        if units == "bits":
+            return self._nats / LN2
+        raise ValidationError(f"unknown units {units!r}")
 
 
 def renyi_inf(p: DiscreteDistribution, q: DiscreteDistribution) -> LeakageValue:
@@ -103,18 +127,53 @@ def renyi_inf(p: DiscreteDistribution, q: DiscreteDistribution) -> LeakageValue:
     return LeakageValue(max(val, 0.0))
 
 
+def _leakage_nats(model: JointModel, outcomes: slice) -> np.ndarray:
+    """Leakage in nats of a slice of outcomes, all columns at once.
+
+    Per column these are the elementwise operations of
+    ``renyi_inf(posterior(model, y), model.prior)``, so the values agree
+    bit for bit (``log max_x W - log P_Y`` does not).  Outcomes with
+    P_Y(y) = 0 get 0.  A posterior failing ``DiscreteDistribution``'s
+    normalization check is rejected, naming its outcome.
+    """
+    prior = model.prior.probs
+    p_y = model.marginal.probs[outcomes]
+    live = p_y > 0.0
+    # the one |X| x |Y| float temporary: the posteriors, then their log ratios
+    ratio = prior[:, None] * model.channel.matrix[:, outcomes]
+    ratio /= np.where(live, p_y, 1.0)
+    sums = ratio.sum(axis=0)
+    bad = np.flatnonzero(live & ~((1.0 - sums <= MAX_DEFICIT) & (sums - 1.0 <= SUM_ATOL)))
+    if bad.size:
+        y = model.output_alphabet.symbols[outcomes][bad[0]]
+        raise ValidationError(
+            f"posterior at outcome {y!r}: probabilities sum to {float(sums[bad[0]])!r}; "
+            f"expected 1 within {SUM_ATOL:g} (deficit at most {MAX_DEFICIT:g})"
+        )
+    support = ratio > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(ratio, out=ratio)
+        ratio -= np.log(prior)[:, None]
+    nats = np.max(ratio, axis=0, where=support, initial=-math.inf)
+    nats[~live] = 0.0
+    # max ratio >= 1 whenever the posterior (nearly) normalizes; clamp fp dust
+    return np.maximum(nats, 0.0, out=nats)
+
+
 def pml(model: JointModel, y: Symbol) -> LeakageValue:
     """Pointwise maximal leakage from X to the outcome y.
 
     Equals ``renyi_inf(posterior, prior)``; zero for outcomes with
     P_Y(y) = 0 via the no-conditioning convention.
     """
-    return renyi_inf(posterior(model, y), model.prior)
+    j = model.output_alphabet.index(y)
+    return LeakageValue(float(_leakage_nats(model, slice(j, j + 1))[0]))
 
 
 def leakage_profile(model: JointModel) -> LeakageProfile:
-    leakages = tuple(pml(model, y) for y in model.output_alphabet)
-    return LeakageProfile(model.output_alphabet, leakages, model.marginal)
+    return LeakageProfile(
+        model.output_alphabet, _leakage_nats(model, slice(None)), model.marginal
+    )
 
 
 def maximal_leakage(profile: LeakageProfile) -> LeakageValue:

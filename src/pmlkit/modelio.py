@@ -5,7 +5,9 @@ JSON model files carry the whole model:
     {"alphabet_x": [...], "alphabet_y": [...],
      "prior": [...], "channel": [[...], ...]}
 
-with ``channel[i][j] = P(Y = alphabet_y[j] | X = alphabet_x[i])``.
+with ``channel[i][j] = P(Y = alphabet_y[j] | X = alphabet_x[i])``, and
+optional ``truncation_deficit`` (the prior's) and ``row_deficits`` (one
+per channel row, written only when some row of a truncated kernel has one).
 
 The CSV alternative splits the model: the channel file has a header row
 of output symbols followed by one probability row per input symbol, and
@@ -75,7 +77,10 @@ def load_model_json(path: PathLike) -> JointModel:
         float(doc.get("truncation_deficit", 0.0)),
     )
     channel = DiscreteChannel(
-        alphabet_x, alphabet_y, np.asarray(doc["channel"], dtype=float)
+        alphabet_x,
+        alphabet_y,
+        np.asarray(doc["channel"], dtype=float),
+        doc.get("row_deficits"),
     )
     return JointModel(prior, channel)
 
@@ -88,6 +93,8 @@ def save_model_json(model: JointModel, path: PathLike) -> None:
         "truncation_deficit": model.prior.truncation_deficit,
         "channel": model.channel.matrix.tolist(),
     }
+    if np.any(model.channel.row_deficits):
+        doc["row_deficits"] = model.channel.row_deficits.tolist()
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -159,14 +166,16 @@ def jsonable(value):
 
 
 def profile_document(profile: LeakageProfile, units: str = "nats") -> dict:
-    """Machine-readable leakage profile export."""
-    return jsonable(
-        {
-            "units": units,
-            "outcomes": list(profile.outcomes.symbols),
-            "leakage": [lv.in_units(units) for lv in profile.leakages],
-            "p_y": profile.weights.probs.tolist(),
-            "maximal_leakage": maximal_leakage(profile).in_units(units),
-            "mean_leakage": mean_leakage(profile).in_units(units),
-        }
-    )
+    """Machine-readable leakage profile export.
+
+    Values are plain floats; ``jsonable`` spells any infinity when the
+    report is written.
+    """
+    return {
+        "units": units,
+        "outcomes": list(profile.outcomes.symbols),
+        "leakage": profile.in_units(units).tolist(),
+        "p_y": profile.weights.probs.tolist(),
+        "maximal_leakage": maximal_leakage(profile).in_units(units),
+        "mean_leakage": mean_leakage(profile).in_units(units),
+    }

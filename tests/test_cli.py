@@ -4,6 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from pmlkit import (
+    Alphabet,
+    DiscreteChannel,
+    DiscreteDistribution,
+    JointModel,
+    leakage_profile,
+    tail_probability,
+)
 from pmlkit.cli import main
 from pmlkit.modelio import save_model_json
 from conftest import random_full_support_model
@@ -195,3 +203,27 @@ def test_output_file(capsys, fixtures_dir, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["command"] == "compute"
+
+
+def test_tail_cdf_matches_tail_probability_with_ties(capsys, tmp_path):
+    # outcome j is favoured by input j % 3, so leakage values repeat
+    rng = np.random.default_rng(19)
+    n_in, n_out = 3, 24
+    matrix = np.full((n_in, n_out), 0.5 / n_out)
+    for j in range(n_out):
+        matrix[j % n_in, j] += 1.5 / n_out
+    matrix[:, : n_out // 2] *= 1.0 + 0.1 * rng.integers(0, 2, size=n_out // 2)
+    matrix = matrix / matrix.sum(axis=1, keepdims=True)
+    a, b = Alphabet([f"x{i}" for i in range(n_in)]), Alphabet(list(range(n_out)))
+    model = JointModel(DiscreteDistribution(a, np.array([0.2, 0.3, 0.5])), DiscreteChannel(a, b, matrix))
+    path = tmp_path / "ties.json"
+    save_model_json(model, path)
+    profile = leakage_profile(model)
+    values = sorted(set(profile.nats_array().tolist()))
+    assert len(values) < n_out  # ties present
+
+    doc = run_json(capsys, "tail", str(path), "--eps", "0.1")
+    assert doc["cdf"]["leakage"] == values
+    expected = [1.0 - tail_probability(profile, v) for v in values]
+    np.testing.assert_allclose(doc["cdf"]["probability"], expected, rtol=0, atol=1e-12)
+    assert doc["cdf"]["probability"][-1] == 1.0

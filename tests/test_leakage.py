@@ -19,11 +19,13 @@ from pmlkit import (
     maximal_leakage,
     mean_leakage,
     pml,
+    posterior,
     renyi_inf,
     tail_probability,
     uniform,
 )
 from pmlkit.errors import AlphabetMismatchError, ValidationError
+from pmlkit.modelio import load_model
 from conftest import random_full_support_model
 
 
@@ -211,3 +213,97 @@ def test_profile_invariant_zero_weight_zero_leakage():
     weights = DiscreteDistribution(a, np.array([1.0, 0.0]))
     with pytest.raises(ValidationError):
         LeakageProfile(a, (LeakageValue(0.0), LeakageValue(0.5)), weights)
+
+
+def _model_with_zeros(rng, n_in, n_out):
+    """Random model with zero-prior atoms, zero-weight outcomes and a sparse channel."""
+    prior = rng.dirichlet(np.ones(n_in))
+    prior[rng.random(n_in) < 0.25] = 0.0
+    if not prior.any():
+        prior[0] = 1.0
+    prior = prior / prior.sum()
+    matrix = rng.dirichlet(np.ones(n_out), size=n_in)
+    matrix[rng.random((n_in, n_out)) < 0.3] = 0.0
+    matrix[:, rng.random(n_out) < 0.2] = 0.0  # outcomes no input can produce
+    matrix[:, 0] += 0.01
+    matrix = matrix / matrix.sum(axis=1, keepdims=True)
+    return JointModel(
+        DiscreteDistribution(Alphabet(list(range(n_in))), prior),
+        DiscreteChannel(Alphabet(list(range(n_in))), Alphabet(list(range(n_out))), matrix),
+    )
+
+
+def _reference_nats(model):
+    """The per-outcome route: renyi_inf of each validated posterior."""
+    return [renyi_inf(posterior(model, y), model.prior).nats for y in model.output_alphabet]
+
+
+def _assert_profile_matches_reference(model):
+    nats = leakage_profile(model).nats_array()
+    assert nats.tolist() == _reference_nats(model)  # bit for bit
+    for j, y in enumerate(model.output_alphabet.symbols):
+        assert pml(model, y).nats == nats[j]
+
+
+def test_profile_equals_per_outcome_reference():
+    rng = np.random.default_rng(89)
+    for _ in range(40):
+        n_in, n_out = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        if rng.random() < 0.5:
+            model = _model_with_zeros(rng, n_in, n_out)
+        else:
+            model = random_full_support_model(rng, n_in, n_out)
+        _assert_profile_matches_reference(model)
+    wide = random_full_support_model(rng, 16, 500)
+    _assert_profile_matches_reference(wide)
+
+
+def test_profile_covers_zero_prior_atoms_and_zero_weight_outcomes():
+    model = _model_with_zeros(np.random.default_rng(97), 9, 25)
+    assert (model.prior.probs == 0).any() and (model.marginal.probs == 0).any()
+    _assert_profile_matches_reference(model)
+
+
+@pytest.mark.parametrize(
+    "name", ["identity4.json", "geometric_binary_p03_q05.json", "poisson_binomial_lam2_p05.json"]
+)
+def test_profile_equals_reference_on_fixture_models(fixtures_dir, name):
+    _assert_profile_matches_reference(load_model(fixtures_dir / name))
+
+
+def test_profile_is_one_read_only_array():
+    profile = leakage_profile(geometric_binary_model(0.3, 0.5))
+    nats = profile.nats_array()
+    assert nats is profile.nats_array()
+    assert not nats.flags.writeable
+    assert [lv.nats for lv in profile.leakages] == nats.tolist()
+    np.testing.assert_array_equal(profile.in_units("bits"), nats / math.log(2))
+    with pytest.raises(ValidationError):
+        profile.in_units("hartleys")
+
+
+def test_profile_rejects_nan_and_negative_leakage():
+    a = Alphabet([0, 1])
+    weights = DiscreteDistribution(a, np.array([0.5, 0.5]))
+    for bad in ([0.1, math.nan], [-0.1, 0.2]):
+        with pytest.raises(ValidationError, match=">= 0"):
+            LeakageProfile(a, np.array(bad), weights)
+    with pytest.raises(ValidationError, match="one leakage value"):
+        LeakageProfile(a, np.array([0.1]), weights)
+
+
+def test_unnormalized_posterior_is_rejected_by_name():
+    # a cached marginal may differ from prior @ channel by 1e-12 absolute,
+    # which leaves the posterior of a rare outcome far from normalized
+    a = Alphabet(["x0", "x1"])
+    b = Alphabet(["common", "rare"])
+    model = JointModel(uniform(a), DiscreteChannel(a, b, np.array([[1.0, 0.0], [1 - 2e-9, 2e-9]])))
+    skewed = DiscreteDistribution(b, model.marginal.probs + np.array([-5e-13, 5e-13]))
+    skewed_model = JointModel(model.prior, model.channel, skewed)
+    with pytest.raises(ValidationError):
+        posterior(skewed_model, "rare")
+    with pytest.raises(ValidationError, match="'rare'"):
+        leakage_profile(skewed_model)
+    with pytest.raises(ValidationError, match="'rare'"):
+        pml(skewed_model, "rare")
+    assert pml(skewed_model, "common").nats >= 0.0  # that posterior still normalizes

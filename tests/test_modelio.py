@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from pmlkit import geometric_binary_model, leakage_profile
+from pmlkit import (
+    Alphabet,
+    DiscreteChannel,
+    DiscreteDistribution,
+    JointModel,
+    discretize_poisson_binomial,
+    geometric_binary_model,
+    leakage_profile,
+)
 from pmlkit.errors import ValidationError
 from pmlkit.modelio import (
     jsonable,
@@ -100,3 +108,44 @@ def test_profile_document_units():
     assert set(nats) == {
         "units", "outcomes", "leakage", "p_y", "maximal_leakage", "mean_leakage",
     }
+
+
+def _deficit_channel_model():
+    """Rows that each drop 5e-10 of mass: valid, but only with their deficits."""
+    a = Alphabet(["x0", "x1"])
+    b = Alphabet([0, 1, 2])
+    matrix = np.array([[0.5, 0.3, 0.2 - 5e-10], [0.1, 0.1, 0.8 - 5e-10]])
+    channel = DiscreteChannel(a, b, matrix, np.full(2, 5e-10))
+    return JointModel(DiscreteDistribution(a, np.array([0.4, 0.6])), channel)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _deficit_channel_model,
+        lambda: geometric_binary_model(0.3, 0.5),
+        lambda: discretize_poisson_binomial(2.0, 0.5, 10),
+    ],
+    ids=["row_deficits_5e-10", "geometric_binary", "poisson_binomial"],
+)
+def test_round_trip_keeps_row_deficits(tmp_path, make):
+    model = make()
+    path = tmp_path / "model.json"
+    save_model_json(model, path)
+    loaded = load_model_json(path)
+    np.testing.assert_array_equal(loaded.channel.row_deficits, model.channel.row_deficits)
+    np.testing.assert_array_equal(loaded.channel.matrix, model.channel.matrix)
+    np.testing.assert_array_equal(loaded.prior.probs, model.prior.probs)
+    assert loaded.prior.truncation_deficit == model.prior.truncation_deficit
+    written = json.loads(path.read_text())
+    assert ("row_deficits" in written) == bool(np.any(model.channel.row_deficits))
+
+
+def test_row_deficits_length_checked(tmp_path):
+    path = tmp_path / "model.json"
+    save_model_json(_deficit_channel_model(), path)
+    doc = json.loads(path.read_text())
+    doc["row_deficits"] = [5e-10]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="row_deficits"):
+        load_model_json(path)
