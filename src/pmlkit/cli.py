@@ -23,6 +23,7 @@ from .continuous import ClosedFormModel, GridSpec, pml_closed_form, pml_density,
 from .distributions import Alphabet, JointModel
 from .errors import CapabilityError, CapacityError, PmlError
 from .leakage import (
+    LN2,
     LeakageProfile,
     leakage_profile,
     pml,
@@ -225,41 +226,41 @@ def cmd_continuous(args) -> int:
     return EXIT_OK
 
 
-def _cdf(profile: LeakageProfile):
-    """Distinct leakage values (ascending, nats) and P_Y(leakage <= value).
+def _cdf(profile: LeakageProfile, units: str):
+    """Distinct leakage values (ascending, in ``units``) and P_Y(leakage <= value).
 
-    One stable sort, then each value's probability is one minus the mass of
-    the strictly larger values, summed from the top.
+    The values are those of ``profile.in_units``, so they print as in
+    ``compute``.  One stable sort, then each value's probability is one
+    minus the mass of the strictly larger values, summed from the top.
     """
-    order = np.argsort(profile.nats_array(), kind="stable")
-    nats = profile.nats_array()[order]
-    starts = np.flatnonzero(np.concatenate(([True], nats[1:] != nats[:-1])))
+    values = profile.in_units(units)
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     mass = np.add.reduceat(profile.weights.probs[order], starts)
     above = np.zeros_like(mass)
     above[:-1] = np.cumsum(mass[:0:-1])[::-1]
-    return nats[starts], 1.0 - above
+    return values[starts], 1.0 - above
 
 
 def cmd_tail(args) -> int:
     model = load_model(args.channel, args.prior)
     profile = leakage_profile(model)
-    ln2 = math.log(2.0)
-    scale = 1.0 if args.units == "nats" else 1.0 / ln2
     rows = []
     for eps in args.eps:
-        eps_nats = eps if args.units == "nats" else eps * ln2
+        eps_nats = eps if args.units == "nats" else eps * LN2
         rows.append({"eps": eps, "tail_probability": tail_probability(profile, eps_nats)})
     if args.format == "csv":
         columns = ([r["eps"] for r in rows], [r["tail_probability"] for r in rows])
         _emit(args, _csv(("eps", "tail_probability"), columns))
         return EXIT_OK
-    values, cdf = _cdf(profile)
+    values, cdf = _cdf(profile, args.units)
     doc = _header(args, model)
     doc.update(
         {
             "command": "tail",
             "rows": rows,
-            "cdf": {"leakage": (values * scale).tolist(), "probability": cdf.tolist()},
+            "cdf": {"leakage": values.tolist(), "probability": cdf.tolist()},
         }
     )
     _emit(args, _json(doc))

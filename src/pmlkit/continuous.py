@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
 
 from .distributions import (
     Alphabet,
@@ -37,6 +36,21 @@ GAUSSIAN_FAMILIES = ("additive_gaussian", "bivariate_gaussian")
 
 MIN_GRID_POINTS = 1 << 10
 DENSITY_CLIP_DEFICIT = 1e-6
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _norm_pdf(x, loc=0.0, scale=1.0) -> np.ndarray:
+    """Normal density by the operations of ``scipy.stats.norm.pdf``, which it
+    therefore equals bit for bit."""
+    z = (np.asarray(x, dtype=float) - loc) / scale
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI / scale
+
+
+def _norm_isf(q: float) -> float:
+    """Standard normal upper quantile, the z with P(Z > z) = q; it agrees
+    with ``scipy.stats.norm.isf`` within 1e-15 relative."""
+    return -statistics.NormalDist().inv_cdf(q)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,7 +223,7 @@ def pml_closed_form(model: ClosedFormModel, y) -> LeakageValue:
             raise ValidationError(f"poisson_binomial outcomes are non-negative integers, got {y!r}")
         y = int(y)
         lam = p["lam"]
-        return LeakageValue(lam * p["p"] - y * math.log(lam) + float(gammaln(y + 1)))
+        return LeakageValue(lam * p["p"] - y * math.log(lam) + math.lgamma(y + 1))
     if model.family == "geometric_binary":
         if y not in (0, 1):
             raise ValidationError(f"geometric_binary outcomes are 0 or 1, got {y!r}")
@@ -227,24 +241,24 @@ def to_density_model(
     if model.family == "additive_gaussian":
         sx, sn = p["sigma_x"], p["sigma_n"]
         s_y = math.hypot(sx, sn)
-        half = sx * float(stats.norm.isf(quantile_clip))
+        half = sx * _norm_isf(quantile_clip)
         return DensityModel(
             x_domain=(-half, half),
-            prior_density=lambda x: stats.norm.pdf(x, scale=sx),
-            conditional_density=lambda y, x: stats.norm.pdf(y - x, scale=sn),
-            marginal_density=lambda y: float(stats.norm.pdf(y, scale=s_y)),
+            prior_density=lambda x: _norm_pdf(x, scale=sx),
+            conditional_density=lambda y, x: _norm_pdf(y - x, scale=sn),
+            marginal_density=lambda y: float(_norm_pdf(y, scale=s_y)),
         )
     if model.family == "bivariate_gaussian":
         sx, sy, rho = p["sigma_x"], p["sigma_y"], p["rho"]
         cond_scale = sy * math.sqrt(1.0 - rho * rho)
-        half = sx * float(stats.norm.isf(quantile_clip))
+        half = sx * _norm_isf(quantile_clip)
         return DensityModel(
             x_domain=(-half, half),
-            prior_density=lambda x: stats.norm.pdf(x, scale=sx),
-            conditional_density=lambda y, x: stats.norm.pdf(
+            prior_density=lambda x: _norm_pdf(x, scale=sx),
+            conditional_density=lambda y, x: _norm_pdf(
                 y, loc=rho * sy / sx * x, scale=cond_scale
             ),
-            marginal_density=lambda y: float(stats.norm.pdf(y, scale=sy)),
+            marginal_density=lambda y: float(_norm_pdf(y, scale=sy)),
         )
     raise CapabilityError(
         f"grid checks require a continuous secret; family {model.family!r} unsupported"
@@ -336,6 +350,9 @@ def discretize_poisson_binomial(
     Prior X ~ Pois(lam * p); kernel adds independent Pois(lam * (1 - p))
     noise, so Y ~ Pois(lam) and X | Y=y ~ Binom(y, p).
     """
+    # imported here so that importing pmlkit, or any CLI request, loads no scipy
+    from scipy import stats
+
     ClosedFormModel("poisson_binomial", {"lam": lam, "p": p})  # parameter gate
     if tail > 1e-9 or tail <= 0:
         raise ValidationError(f"tail must lie in (0, 1e-9], got {tail!r}")

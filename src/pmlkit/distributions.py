@@ -20,7 +20,6 @@ import math
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     AlphabetMismatchError,
@@ -103,8 +102,8 @@ class DiscreteDistribution:
         if np.any(probs < 0) or not np.all(np.isfinite(probs)):
             raise ValidationError("probabilities must be finite and >= 0")
         deficit = float(self.truncation_deficit)
-        if deficit < 0:
-            raise ValidationError("truncation_deficit must be >= 0")
+        if not deficit >= 0:  # also rejects NaN
+            raise ValidationError(f"truncation_deficit must be >= 0, got {deficit!r}")
         if deficit > MAX_DEFICIT:
             raise ValidationError(
                 f"truncation_deficit {deficit:g} exceeds the accepted "
@@ -296,6 +295,9 @@ def truncate_countable(
         deficit = math.exp(n * math.log1p(-p))
         return DiscreteDistribution(Alphabet([int(k) for k in ks]), probs, deficit)
     if law == "poisson":
+        # imported here so that importing pmlkit, or any CLI request, loads no scipy
+        from scipy import stats
+
         lam = float(param)
         if not (lam > 0 and math.isfinite(lam)):
             raise ValidationError(f"poisson rate must be positive, got {lam!r}")

@@ -17,7 +17,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import (
     MAX_DEFICIT,
@@ -176,6 +175,22 @@ def leakage_profile(model: JointModel) -> LeakageProfile:
     )
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for a finite real 1-D array.
+
+    Repeats the operations of ``scipy.special.logsumexp`` (1.17) in the
+    same order, so the two agree bit for bit: the maximal entries are
+    taken out of the shifted sum and counted instead.
+    """
+    a_max = np.max(a)
+    ties = a == a_max
+    m = np.sum(ties, dtype=float)
+    s = np.sum(np.exp(np.where(ties, -math.inf, a) - a_max))
+    if s != 0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def maximal_leakage(profile: LeakageProfile) -> LeakageValue:
     """log E_{P_Y}[exp leakage] — the averaged (Sibson-infinity) statistic.
 
@@ -189,7 +204,7 @@ def maximal_leakage(profile: LeakageProfile) -> LeakageValue:
         return LeakageValue(math.inf)
     if not mask.any():
         return LeakageValue(0.0)
-    val = float(logsumexp(np.log(weights[mask]) + nats[mask]))
+    val = _logsumexp(np.log(weights[mask]) + nats[mask])
     return LeakageValue(max(val, 0.0))
 
 

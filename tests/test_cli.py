@@ -72,6 +72,28 @@ def test_compute_matches_golden(capsys, fixtures_dir):
     assert out == golden
 
 
+# the argv of each golden report (fixture file names are resolved in fixtures/)
+GOLDENS = {
+    "compute_geometric_binary.json": ["compute", "geometric_binary_p03_q05.json"],
+    "compute_identity4.json": ["compute", "identity4.json"],
+    "tail_identity4.json": ["tail", "identity4.json", "--eps", "1.0",
+                            "--eps", "1.3862943611198906"],
+    "continuous_additive_gaussian.json": ["continuous", "--family",
+                                          "family_additive_gaussian.json", "--outcome", "0",
+                                          "--check-grid"],
+    "continuous_gaussian_mixture.json": ["continuous", "--family",
+                                         "family_gaussian_mixture.json", "--outcome", "0.5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_report_matches_golden(fixtures_dir, tmp_path, name):
+    argv = [str(fixtures_dir / a) if (fixtures_dir / a).is_file() else a for a in GOLDENS[name]]
+    out = tmp_path / name
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (fixtures_dir / "golden" / name).read_bytes()
+
+
 def test_reports_are_deterministic(capsys, fixtures_dir):
     _, first, _ = run(capsys, "compute", str(fixtures_dir / "identity4.json"))
     _, second, _ = run(capsys, "compute", str(fixtures_dir / "identity4.json"))
@@ -82,6 +104,16 @@ def test_malformed_row_sum_exits_one(capsys, fixtures_dir):
     code, out, err = run(capsys, "compute", str(fixtures_dir / "bad_rowsum.json"))
     assert code == 1
     assert "validation error" in err and "sum" in err
+
+
+def test_nan_deficit_exits_one(capsys, fixtures_dir, tmp_path):
+    doc = json.loads((fixtures_dir / "identity4.json").read_text())
+    doc["truncation_deficit"] = math.nan
+    path = tmp_path / "nan_deficit.json"
+    path.write_text(json.dumps(doc))  # json writes and reads the NaN literal
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 1 and out == ""
+    assert "truncation_deficit" in err
 
 
 def test_verify_subset(capsys, random_model_file):
@@ -227,3 +259,9 @@ def test_tail_cdf_matches_tail_probability_with_ties(capsys, tmp_path):
     expected = [1.0 - tail_probability(profile, v) for v in values]
     np.testing.assert_allclose(doc["cdf"]["probability"], expected, rtol=0, atol=1e-12)
     assert doc["cdf"]["probability"][-1] == 1.0
+
+
+def test_tail_bits_cdf_prints_the_compute_bits_values(capsys, random_model_file):
+    doc = run_json(capsys, "tail", str(random_model_file), "--eps", "0.1", "--units", "bits")
+    profile = run_json(capsys, "compute", str(random_model_file), "--units", "bits")["profile"]
+    assert doc["cdf"]["leakage"] == sorted(set(profile["leakage"]))

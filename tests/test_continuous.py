@@ -17,6 +17,7 @@ from pmlkit import (
     posterior,
     to_density_model,
 )
+from pmlkit.continuous import _norm_isf, _norm_pdf
 from pmlkit.errors import (
     CapabilityError,
     ParameterError,
@@ -221,3 +222,28 @@ def test_discretize_rejects_coarse_tail():
 def test_grid_check_unsupported_for_integer_family():
     with pytest.raises(CapabilityError):
         to_density_model(ClosedFormModel("poisson_binomial", {"lam": 2.0, "p": 0.5}))
+
+
+def test_norm_pdf_equals_scipy():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        x = rng.normal(0.0, 10.0, size=64)
+        loc, scale = rng.normal(0.0, 3.0, size=64), rng.uniform(0.01, 20.0)
+        assert np.array_equal(_norm_pdf(x, scale=scale), stats.norm.pdf(x, scale=scale))
+        assert np.array_equal(
+            _norm_pdf(x[0], loc=loc, scale=scale), stats.norm.pdf(x[0], loc=loc, scale=scale)
+        )
+    assert float(_norm_pdf(1.5, scale=2.0)) == float(stats.norm.pdf(1.5, scale=2.0))
+
+
+def test_norm_isf_agrees_with_scipy():
+    assert _norm_isf(1e-9) == stats.norm.isf(1e-9)  # the default quantile_clip
+    for q in np.logspace(-300, math.log10(0.4999), 400):
+        assert _norm_isf(q) == pytest.approx(stats.norm.isf(q), rel=1e-15)
+
+
+def test_lgamma_agrees_with_gammaln():
+    from scipy.special import gammaln
+
+    for y in range(401):
+        assert math.lgamma(y + 1) == pytest.approx(float(gammaln(y + 1)), rel=1e-15)

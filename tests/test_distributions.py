@@ -157,3 +157,12 @@ def test_channel_row_validation_names_the_row():
     b = Alphabet([0, 1])
     with pytest.raises(ValidationError, match="x1"):
         DiscreteChannel(a, b, np.array([[0.5, 0.5], [0.5, 0.47]]))
+
+
+def test_nan_deficit_is_rejected():
+    # every comparison with NaN is false, so the range check must be one NaN fails
+    a = Alphabet(["x0", "x1"])
+    with pytest.raises(ValidationError, match="truncation_deficit"):
+        DiscreteDistribution(a, np.array([0.5, 0.5]), truncation_deficit=math.nan)
+    with pytest.raises(ValidationError, match="x1"):
+        DiscreteChannel(a, Alphabet([0, 1]), np.full((2, 2), 0.5), np.array([0.0, math.nan]))

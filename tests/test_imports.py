@@ -1,0 +1,63 @@
+"""Import hygiene: the CLI, imported and run in a fresh interpreter, loads no scipy.
+
+scipy takes most of an interpreter's start-up when it is imported, and
+only the library's Poisson truncation helpers need it.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pmlkit
+
+SRC = pathlib.Path(pmlkit.__file__).resolve().parent.parent
+
+RUN_REQUESTS = """
+import json, sys
+import pmlkit.cli
+requests, out = json.loads(sys.argv[1]), sys.argv[2]
+codes = [pmlkit.cli.main(argv + ["--output", out]) for argv in requests]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def _requests(fixtures):
+    model = str(fixtures / "identity4.json")
+    requests = [
+        (["compute", model], 0),
+        (["compute", model, "--format", "csv", "--units", "bits"], 0),
+        (["compute", model, "--outcome", "a"], 0),
+        (["compute", str(fixtures / "identity4_channel.csv"),
+          str(fixtures / "identity4_prior.csv")], 0),
+        (["tail", model, "--eps", "0.5"], 0),
+        (["tail", model, "--eps", "0.5", "--format", "csv", "--units", "bits"], 0),
+    ]
+    for oracle in ("subset", "partition", "functions", "strategies"):
+        requests.append((["verify", model, "--oracle", oracle], 0))
+    for family in ("additive_gaussian", "bivariate_gaussian", "gaussian_mixture",
+                   "poisson_binomial", "geometric_binary"):
+        requests.append((["continuous", "--family", str(fixtures / f"family_{family}.json"),
+                          "--outcome", "1"], 0))
+    for family, code in (("additive_gaussian", 0), ("bivariate_gaussian", 0),
+                         ("poisson_binomial", 3)):
+        requests.append((["continuous", "--family", str(fixtures / f"family_{family}.json"),
+                          "--outcome", "1", "--check-grid"], code))
+    requests.append((["continuous", "--family", str(fixtures / "family_additive_gaussian.json"),
+                      "--outcome", "1", "--check-grid", "--grid", '{"quantile_clip": 1e-8}'], 0))
+    return requests
+
+
+def test_cli_requests_load_no_scipy(fixtures_dir, tmp_path):
+    requests = _requests(fixtures_dir)
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_REQUESTS,
+         json.dumps([argv for argv, _ in requests]), str(tmp_path / "report")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout)
+    assert seen["codes"] == [code for _, code in requests]
+    assert seen["scipy"] == []

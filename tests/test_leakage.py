@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmlkit import (
     Alphabet,
@@ -25,6 +26,7 @@ from pmlkit import (
     uniform,
 )
 from pmlkit.errors import AlphabetMismatchError, ValidationError
+from pmlkit.leakage import _logsumexp
 from pmlkit.modelio import load_model
 from conftest import random_full_support_model
 
@@ -307,3 +309,41 @@ def test_unnormalized_posterior_is_rejected_by_name():
     with pytest.raises(ValidationError, match="'rare'"):
         pml(skewed_model, "rare")
     assert pml(skewed_model, "common").nats >= 0.0  # that posterior still normalizes
+
+
+def test_logsumexp_equals_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(31)
+    for i in range(2000):
+        n = int(rng.integers(1, 40))
+        a = rng.normal(0.0, rng.uniform(0.01, 30.0), n)
+        if i % 2:  # ties, at the maximum and elsewhere
+            a = np.round(a, 1)
+            a[rng.integers(0, n, size=n // 2)] = a.max()
+        assert _logsumexp(a) == float(logsumexp(a))
+    for a in ([0.0], [-3.5], [2.0, 2.0], [-800.0, -800.5]):
+        assert _logsumexp(np.array(a)) == float(logsumexp(a))
+
+
+@st.composite
+def full_support_models(draw):
+    n_in, n_out = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.floats(min_value=1e-3, max_value=1.0)
+    prior = np.array(draw(st.lists(entry, min_size=n_in, max_size=n_in)))
+    matrix = np.array(
+        [draw(st.lists(entry, min_size=n_out, max_size=n_out)) for _ in range(n_in)]
+    )
+    a, b = Alphabet(list(range(n_in))), Alphabet(list(range(n_out)))
+    return JointModel(
+        DiscreteDistribution(a, prior / prior.sum()),
+        DiscreteChannel(a, b, matrix / matrix.sum(axis=1, keepdims=True)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(full_support_models())
+def test_maximal_leakage_is_log_sum_of_column_maxima(model):
+    # Issa-Wagner-Kamath maximal leakage, recovered as log E[exp leakage]
+    got = maximal_leakage(leakage_profile(model)).nats
+    assert got == pytest.approx(math.log(model.channel.matrix.max(axis=0).sum()), abs=1e-12)
