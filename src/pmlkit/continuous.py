@@ -36,6 +36,10 @@ GAUSSIAN_FAMILIES = ("additive_gaussian", "bivariate_gaussian")
 
 MIN_GRID_POINTS = 1 << 10
 DENSITY_CLIP_DEFICIT = 1e-6
+#: largest ``GridSpec.quantile_clip``: the two clipped prior tails drop
+#: 2 * clip of mass, and 2% of DENSITY_CLIP_DEFICIT is left for the
+#: trapezoid rule, which loses about 7e-13 more at 1 << 14 points
+MAX_QUANTILE_CLIP = 0.49 * DENSITY_CLIP_DEFICIT
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -64,8 +68,12 @@ class GridSpec:
     def __post_init__(self):
         if self.points < MIN_GRID_POINTS:
             raise ValidationError(f"grid needs >= {MIN_GRID_POINTS} points")
-        if not (0 < self.quantile_clip < 0.5):
-            raise ValidationError("quantile_clip must lie in (0, 0.5)")
+        if not (0 < self.quantile_clip <= MAX_QUANTILE_CLIP):
+            raise ValidationError(
+                f"quantile_clip must lie in (0, {MAX_QUANTILE_CLIP:g}], got "
+                f"{self.quantile_clip!r}: the two clipped prior tails may drop at "
+                f"most {DENSITY_CLIP_DEFICIT:g} of mass"
+            )
         if self.refine < 1:
             raise ValidationError("refine factor must be >= 1")
 

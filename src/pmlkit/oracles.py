@@ -14,7 +14,6 @@ is worse than none.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from functools import lru_cache
 from typing import Dict, Mapping, Tuple
@@ -94,15 +93,26 @@ def gain_ratio(model: JointModel, y: Symbol, g: GainFunction) -> float:
     return num / den
 
 
-def _best_set_ratio(post_sums: np.ndarray, prior_sums: np.ndarray) -> float:
-    """Max of post/prior over paired event masses, with 0/0 = 1."""
-    ratios = np.ones_like(post_sums)
-    pos = prior_sums > 0
-    ratios[pos] = post_sums[pos] / prior_sums[pos]
-    null = (~pos) & (post_sums > 0)
-    if null.any():
-        return math.inf
-    return float(ratios.max())
+def _set_ratios(post_sums: np.ndarray, prior_sums: np.ndarray) -> np.ndarray:
+    """post/prior over paired event masses, with 0/0 = 1 and x/0 = inf."""
+    out = np.where(post_sums > 0, np.inf, 1.0)
+    return np.divide(post_sums, prior_sums, out=out, where=prior_sums > 0)
+
+
+def _subset_sums(v: np.ndarray) -> np.ndarray:
+    """Mass of every event: entry m is the sum of v[i] over the set bits i
+    of m, added in index order; entry 0 is the empty event."""
+    s = np.empty(1 << len(v))
+    s[0] = 0.0
+    for i in range(len(v)):
+        np.add(s[: 1 << i], v[i], out=s[1 << i : 2 << i])
+    return s
+
+
+def _event_ratios(model: JointModel, y: Symbol) -> np.ndarray:
+    """P_{X|y}(A) / P_X(A) for every event A, indexed by its bit mask."""
+    post = posterior(model, y).probs
+    return _set_ratios(_subset_sums(post), _subset_sums(model.prior.probs))
 
 
 def subset_oracle(model: JointModel, y: Symbol) -> float:
@@ -117,14 +127,7 @@ def subset_oracle(model: JointModel, y: Symbol) -> float:
             f"subset oracle enumerates 2^n events; n={n} exceeds cap {SUBSET_CAP}"
         )
     _require_positive_outcome(model, y)
-    post = posterior(model, y).probs
-    prior = model.prior.probs
-    post_sums = np.zeros(1)
-    prior_sums = np.zeros(1)
-    for i in range(n):
-        post_sums = np.concatenate([post_sums, post_sums + post[i]])
-        prior_sums = np.concatenate([prior_sums, prior_sums + prior[i]])
-    best = _best_set_ratio(post_sums[1:], prior_sums[1:])
+    best = float(_event_ratios(model, y)[1:].max())
     return math.log(best) if best > 0 else -math.inf
 
 
@@ -205,26 +208,30 @@ def shattering_value(
         j = index[grouping[x]]
         post_w[j] += post[i]
         prior_w[j] += prior[i]
-    best = _best_set_ratio(post_w, prior_w)
+    best = float(_set_ratios(post_w, prior_w).max())
     return math.log(best) if best > 0 else -math.inf
 
 
 @lru_cache(maxsize=None)
-def _set_partitions(n: int, max_groups: int) -> Tuple[np.ndarray, ...]:
-    """All assignments of n items into at most max_groups unlabeled blocks,
-    as restricted growth strings, bucketed by block count (1-based)."""
-    buckets = [[] for _ in range(max_groups)]
+def _set_partitions(n: int, max_groups: int) -> np.ndarray:
+    """All partitions of n items into at most max_groups unlabeled blocks.
 
-    def extend(prefix, used):
-        i = len(prefix)
-        if i == n:
-            buckets[used - 1].append(prefix)
-            return
-        for g in range(min(used + 1, max_groups)):
-            extend(prefix + (g,), max(used, g + 1))
-
-    extend((), 0)
-    return tuple(np.array(b, dtype=np.intp) for b in buckets if b)
+    Row r holds the bit masks of partition r's blocks, 0 for an unused
+    block.  The rows are the restricted growth strings in lexicographic
+    order, grown one item at a time: a string using u labels gives item i
+    each label below min(u + 1, max_groups).
+    """
+    blocks = np.zeros((1, max_groups), dtype=np.intp)
+    used = np.zeros(1, dtype=np.intp)
+    for i in range(n):
+        fan = np.minimum(used + 1, max_groups)
+        parent = np.repeat(np.arange(len(used)), fan)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        blocks = blocks[parent]
+        blocks[np.arange(len(parent)), label] |= 1 << i
+        used = np.maximum(used[parent], label + 1)
+    blocks.setflags(write=False)
+    return blocks
 
 
 def _count_partitions(n: int, max_groups: int) -> int:
@@ -252,6 +259,9 @@ def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) ->
     shattering value only depends on the induced partition.  The result
     is a certified lower bound on pml, and equals pml once max_groups
     reaches the alphabet size (singleton grouping available).
+
+    Each grouping's blocks are looked up by bit mask in the table of event
+    ratios; an unused block is the empty event, whose 0/0 reads 1.
     """
     n = model.input_alphabet.size
     if n > FUNCTION_ALPHABET_CAP:
@@ -268,27 +278,23 @@ def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) ->
             f"{count} groupings exceed the enumeration cap {GROUPING_CAP}"
         )
     _require_positive_outcome(model, y)
-    post = posterior(model, y).probs
-    prior = model.prior.probs
-    best = 1.0
-    for assignments in _set_partitions(n, k):
-        blocks = int(assignments.max()) + 1
-        post_cells = np.stack([(assignments == g) @ post for g in range(blocks)], axis=1)
-        prior_cells = np.stack([(assignments == g) @ prior for g in range(blocks)], axis=1)
-        ratios = np.ones_like(post_cells)
-        pos = prior_cells > 0
-        ratios[pos] = post_cells[pos] / prior_cells[pos]
-        if np.any((~pos) & (post_cells > 0)):
-            return math.inf
-        best = max(best, float(ratios.max(axis=1).max()))
-    return math.log(best)
+    ratios = _event_ratios(model, y)
+    return math.log(max(1.0, float(ratios[_set_partitions(n, k)].max())))
 
 
-def _simplex_grid(dim: int, resolution: int):
-    for counts in itertools.product(range(resolution + 1), repeat=dim - 1):
-        rest = resolution - sum(counts)
-        if rest >= 0:
-            yield np.array(counts + (rest,), dtype=float) / resolution
+@lru_cache(maxsize=None)
+def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
+    """Every mixture over dim estimates whose weights are multiples of
+    1/resolution, one per row, in ``itertools.product`` order of the
+    first dim - 1 counts."""
+    counts = np.indices((resolution + 1,) * (dim - 1)).reshape(
+        dim - 1, (resolution + 1) ** (dim - 1)
+    ).T
+    rest = resolution - counts.sum(axis=1)
+    keep = rest >= 0
+    grid = np.column_stack([counts[keep], rest[keep]]).astype(float) / resolution
+    grid.setflags(write=False)
+    return grid
 
 
 def randomized_strategy_check(
@@ -311,11 +317,8 @@ def randomized_strategy_check(
         )
     _require_positive_outcome(model, y)
     pure = g.expected_gain(posterior(model, y).probs)
-    best_pure = float(pure.max())
-    for weights in _simplex_grid(g.estimate_alphabet.size, grid_resolution):
-        if float(weights @ pure) > best_pure + 1e-12:
-            return False
-    return True
+    grid = _simplex_grid(g.estimate_alphabet.size, grid_resolution)
+    return not np.any(grid @ pure > float(pure.max()) + 1e-12)
 
 
 def make_guessing_gain(subchannel: DiscreteChannel) -> GainFunction:

@@ -22,6 +22,24 @@ def random_full_support_model(rng, n_in, n_out):
     )
 
 
+def random_model_with_zeros(rng, n_in, n_out):
+    """Random model with zero-prior atoms, zero-weight outcomes and a sparse channel."""
+    prior = rng.dirichlet(np.ones(n_in))
+    prior[rng.random(n_in) < 0.25] = 0.0
+    if not prior.any():
+        prior[0] = 1.0
+    prior = prior / prior.sum()
+    matrix = rng.dirichlet(np.ones(n_out), size=n_in)
+    matrix[rng.random((n_in, n_out)) < 0.3] = 0.0
+    matrix[:, rng.random(n_out) < 0.2] = 0.0  # outcomes no input can produce
+    matrix[:, 0] += 0.01
+    matrix = matrix / matrix.sum(axis=1, keepdims=True)
+    return JointModel(
+        DiscreteDistribution(Alphabet(list(range(n_in))), prior),
+        DiscreteChannel(Alphabet(list(range(n_in))), Alphabet(list(range(n_out))), matrix),
+    )
+
+
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES

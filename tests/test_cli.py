@@ -13,6 +13,7 @@ from pmlkit import (
     tail_probability,
 )
 from pmlkit.cli import main
+from pmlkit.continuous import MAX_QUANTILE_CLIP
 from pmlkit.modelio import save_model_json
 from conftest import random_full_support_model
 
@@ -190,6 +191,28 @@ def test_continuous_grid_check_unsupported_family(capsys, fixtures_dir):
     doc = json.loads(out)  # closed form still printed
     assert doc["closed_form"] == pytest.approx(math.log(6 * math.e / 8), abs=1e-12)
     assert "error" in doc["grid_check"]
+
+
+@pytest.mark.parametrize(
+    "name", ["family_additive_gaussian.json", "family_bivariate_gaussian.json"]
+)
+def test_largest_quantile_clip_passes_grid_check(capsys, fixtures_dir, name):
+    doc = run_json(
+        capsys, "continuous", "--family", str(fixtures_dir / name), "--outcome", "1",
+        "--check-grid", "--grid", json.dumps({"quantile_clip": MAX_QUANTILE_CLIP}),
+    )
+    assert doc["grid"]["quantile_clip"] == MAX_QUANTILE_CLIP
+    assert abs(doc["grid_check"]["gap"]) <= 1e-4
+
+
+def test_quantile_clip_above_bound_exits_one(capsys, fixtures_dir):
+    code, out, err = run(
+        capsys, "continuous", "--family", str(fixtures_dir / "family_additive_gaussian.json"),
+        "--outcome", "1", "--check-grid", "--grid", '{"quantile_clip": 1e-6}',
+    )
+    assert code == 1 and out == ""
+    assert "quantile_clip must lie in (0, 4.9e-07], got 1e-06" in err
+    assert "integrates" not in err
 
 
 def test_continuous_parameter_error(capsys):

@@ -17,7 +17,7 @@ from pmlkit import (
     posterior,
     to_density_model,
 )
-from pmlkit.continuous import _norm_isf, _norm_pdf
+from pmlkit.continuous import MAX_QUANTILE_CLIP, _norm_isf, _norm_pdf
 from pmlkit.errors import (
     CapabilityError,
     ParameterError,
@@ -152,6 +152,20 @@ def test_grid_spec_validation():
         GridSpec(points=512)
     with pytest.raises(ValidationError):
         GridSpec(quantile_clip=0.7)
+
+
+def test_quantile_clip_bound_is_the_largest_that_builds_a_density():
+    assert GridSpec().quantile_clip <= MAX_QUANTILE_CLIP
+    assert GridSpec(quantile_clip=MAX_QUANTILE_CLIP).quantile_clip == MAX_QUANTILE_CLIP
+    with pytest.raises(ValidationError, match=r"quantile_clip must lie in \(0, 4.9e-07\]"):
+        GridSpec(quantile_clip=float(np.nextafter(MAX_QUANTILE_CLIP, 1.0)))
+    families = [
+        ClosedFormModel("additive_gaussian", {"sigma_x": 1.3, "sigma_n": 0.4}),
+        ClosedFormModel("bivariate_gaussian", {"sigma_x": 0.02, "sigma_y": 5.0, "rho": -0.7}),
+    ]
+    for model in families:
+        for clip in [5e-324, 1e-300, *np.geomspace(1e-12, MAX_QUANTILE_CLIP, 25)]:
+            to_density_model(model, GridSpec(quantile_clip=float(clip)).quantile_clip)
 
 
 def test_density_model_requires_normalized_prior():

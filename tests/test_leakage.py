@@ -28,7 +28,7 @@ from pmlkit import (
 from pmlkit.errors import AlphabetMismatchError, ValidationError
 from pmlkit.leakage import _logsumexp
 from pmlkit.modelio import load_model
-from conftest import random_full_support_model
+from conftest import random_full_support_model, random_model_with_zeros as _model_with_zeros
 
 
 def dist(probs):
@@ -217,24 +217,6 @@ def test_profile_invariant_zero_weight_zero_leakage():
         LeakageProfile(a, (LeakageValue(0.0), LeakageValue(0.5)), weights)
 
 
-def _model_with_zeros(rng, n_in, n_out):
-    """Random model with zero-prior atoms, zero-weight outcomes and a sparse channel."""
-    prior = rng.dirichlet(np.ones(n_in))
-    prior[rng.random(n_in) < 0.25] = 0.0
-    if not prior.any():
-        prior[0] = 1.0
-    prior = prior / prior.sum()
-    matrix = rng.dirichlet(np.ones(n_out), size=n_in)
-    matrix[rng.random((n_in, n_out)) < 0.3] = 0.0
-    matrix[:, rng.random(n_out) < 0.2] = 0.0  # outcomes no input can produce
-    matrix[:, 0] += 0.01
-    matrix = matrix / matrix.sum(axis=1, keepdims=True)
-    return JointModel(
-        DiscreteDistribution(Alphabet(list(range(n_in))), prior),
-        DiscreteChannel(Alphabet(list(range(n_in))), Alphabet(list(range(n_out))), matrix),
-    )
-
-
 def _reference_nats(model):
     """The per-outcome route: renyi_inf of each validated posterior."""
     return [renyi_inf(posterior(model, y), model.prior).nats for y in model.output_alphabet]
@@ -347,3 +329,28 @@ def test_maximal_leakage_is_log_sum_of_column_maxima(model):
     # Issa-Wagner-Kamath maximal leakage, recovered as log E[exp leakage]
     got = maximal_leakage(leakage_profile(model)).nats
     assert got == pytest.approx(math.log(model.channel.matrix.max(axis=0).sum()), abs=1e-12)
+
+
+@st.composite
+def models_with_zero_atoms(draw):
+    """Random models whose prior and channel rows may hold zeros; each keeps
+    one positive entry, so zero-prior atoms and zero-weight outcomes occur."""
+    n_in, n_out = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
+
+    def law(size):
+        v = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+        v[draw(st.integers(0, size - 1))] += 1e-3
+        return v / v.sum()
+
+    a, b = Alphabet(list(range(n_in))), Alphabet(list(range(n_out)))
+    matrix = np.array([law(n_out) for _ in range(n_in)])
+    return JointModel(DiscreteDistribution(a, law(n_in)), DiscreteChannel(a, b, matrix))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(models_with_zero_atoms())
+def test_mean_leakage_at_most_maximal_leakage(model):
+    # Jensen: E[leakage] <= log E[exp leakage]
+    profile = leakage_profile(model)
+    assert mean_leakage(profile).nats <= maximal_leakage(profile).nats + 1e-12

@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from pmlkit import (
     uniform,
 )
 from pmlkit.errors import CapacityError, ValidationError
-from conftest import random_full_support_model
+from pmlkit.oracles import _count_partitions, _set_partitions, _simplex_grid
+from conftest import random_full_support_model, random_model_with_zeros
 
 
 def small_geometric_model(q=0.5):
@@ -331,3 +334,203 @@ class TestGainConstructors:
         sub = DiscreteChannel(a, a, np.eye(2))
         with pytest.raises(ValidationError):
             make_approx_gain(sub, 1.0)
+
+
+# The loop versions the array oracles replaced, kept as references.
+
+
+@lru_cache(maxsize=None)
+def _reference_set_partitions(n, max_groups):
+    """Restricted growth strings by recursion, bucketed by block count."""
+    buckets = [[] for _ in range(max_groups)]
+
+    def extend(prefix, used):
+        i = len(prefix)
+        if i == n:
+            buckets[used - 1].append(prefix)
+            return
+        for g in range(min(used + 1, max_groups)):
+            extend(prefix + (g,), max(used, g + 1))
+
+    extend((), 0)
+    return tuple(np.array(b, dtype=np.intp) for b in buckets if b)
+
+
+def _reference_best_set_ratio(post_sums, prior_sums):
+    ratios = np.ones_like(post_sums)
+    pos = prior_sums > 0
+    ratios[pos] = post_sums[pos] / prior_sums[pos]
+    if ((~pos) & (post_sums > 0)).any():
+        return math.inf
+    return float(ratios.max())
+
+
+def _reference_subset_oracle(model, y):
+    """Event masses by concatenating doublings."""
+    post = posterior(model, y).probs
+    prior = model.prior.probs
+    post_sums = np.zeros(1)
+    prior_sums = np.zeros(1)
+    for i in range(model.input_alphabet.size):
+        post_sums = np.concatenate([post_sums, post_sums + post[i]])
+        prior_sums = np.concatenate([prior_sums, prior_sums + prior[i]])
+    best = _reference_best_set_ratio(post_sums[1:], prior_sums[1:])
+    return math.log(best) if best > 0 else -math.inf
+
+
+def _reference_function_oracle(model, y, max_groups):
+    """Per-bucket loop: block masses as (assignments == g) @ post."""
+    k = min(max_groups, model.input_alphabet.size)
+    post = posterior(model, y).probs
+    prior = model.prior.probs
+    best = 1.0
+    for assignments in _reference_set_partitions(model.input_alphabet.size, k):
+        blocks = int(assignments.max()) + 1
+        post_cells = np.stack([(assignments == g) @ post for g in range(blocks)], axis=1)
+        prior_cells = np.stack([(assignments == g) @ prior for g in range(blocks)], axis=1)
+        ratios = np.ones_like(post_cells)
+        pos = prior_cells > 0
+        ratios[pos] = post_cells[pos] / prior_cells[pos]
+        if np.any((~pos) & (post_cells > 0)):
+            return math.inf
+        best = max(best, float(ratios.max(axis=1).max()))
+    return math.log(best)
+
+
+def _reference_simplex_grid(dim, resolution):
+    for counts in itertools.product(range(resolution + 1), repeat=dim - 1):
+        rest = resolution - sum(counts)
+        if rest >= 0:
+            yield np.array(counts + (rest,), dtype=float) / resolution
+
+
+def _reference_strategy_check(model, y, g, grid_resolution):
+    pure = g.expected_gain(posterior(model, y).probs)
+    best_pure = float(pure.max())
+    for weights in _reference_simplex_grid(g.estimate_alphabet.size, grid_resolution):
+        if float(weights @ pure) > best_pure + 1e-12:
+            return False
+    return True
+
+
+def _seeded_models(seed, count, max_inputs):
+    """Full-support models and models with zero-prior atoms and posterior zeros."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n_in, n_out = int(rng.integers(1, max_inputs + 1)), int(rng.integers(1, 6))
+        make = random_model_with_zeros if i % 2 else random_full_support_model
+        yield make(rng, n_in, n_out)
+
+
+def _outcomes(model):
+    return [y for y, w in zip(model.output_alphabet.symbols, model.marginal.probs) if w > 0]
+
+
+def _grouping_max(model, y, partitions):
+    """log max(1, best block ratio) from shattering_value, one grouping per row."""
+    best = 0.0
+    for rows in partitions:
+        for row in rows:
+            grouping = dict(zip(model.input_alphabet.symbols, row.tolist()))
+            best = max(best, shattering_value(model, y, grouping))
+    return best
+
+
+class TestArrayEnumerationAgainstReferences:
+    def test_seeded_models_cover_zeros(self):
+        models = list(_seeded_models(101, 40, 12))
+        assert any((m.prior.probs == 0).any() for m in models)
+        assert any((posterior(m, y).probs == 0).any() for m in models for y in _outcomes(m))
+
+    def test_subset_oracle_bit_for_bit(self):
+        for model in _seeded_models(101, 40, 12):
+            for y in _outcomes(model):
+                assert subset_oracle(model, y) == _reference_subset_oracle(model, y)
+
+    def test_function_oracle_bit_for_bit_against_groupings(self):
+        # The array oracle and shattering_value both form a block's mass by
+        # adding its atoms in index order, so the two routes agree exactly.
+        for model in _seeded_models(103, 30, 7):
+            n = model.input_alphabet.size
+            for y in _outcomes(model):
+                for k in range(1, n + 1):
+                    expected = _grouping_max(model, y, _reference_set_partitions(n, k))
+                    assert randomized_function_oracle(model, y, k) == expected
+
+    def test_function_oracle_against_per_bucket_loop(self):
+        # The loop formed block masses as a BLAS matrix-vector product, whose
+        # summation order is the kernel's, not index order; for blocks of four
+        # or more atoms the two sums can differ in the last bits.  That shows
+        # where the posterior equals the prior up to rounding and the best
+        # ratio is 1 + a few ulp, so the logs may differ by the rounding of
+        # two sums of at most n terms.
+        for model in _seeded_models(107, 30, 10):
+            n = model.input_alphabet.size
+            tol = 4 * n * np.finfo(float).eps
+            for y in _outcomes(model)[:2]:
+                for k in range(1, n + 1):
+                    got = randomized_function_oracle(model, y, k)
+                    assert got == pytest.approx(_reference_function_oracle(model, y, k), abs=tol)
+
+    def test_strategy_check_bit_for_bit(self):
+        rng = np.random.default_rng(109)
+        for model in _seeded_models(109, 20, 8):
+            for y in _outcomes(model):
+                d = int(rng.integers(1, 5))
+                g = GainFunction(
+                    model.input_alphabet,
+                    Alphabet(list(range(d))),
+                    rng.uniform(size=(model.input_alphabet.size, d)),
+                )
+                for resolution in (1, 7, 20):
+                    got = randomized_strategy_check(model, y, g, resolution)
+                    assert got is _reference_strategy_check(model, y, g, resolution)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_partition_counts_and_blocks(self, n):
+        full = (1 << n) - 1
+        for k in range(1, n + 1):
+            blocks = _set_partitions(n, k)
+            assert blocks.shape == (_count_partitions(n, k), k)
+            assert not blocks.flags.writeable
+            union = np.bitwise_or.reduce(blocks, axis=1)
+            assert (union == full).all()
+            assert (blocks.sum(axis=1) == union).all()  # pairwise disjoint
+            canonical = np.sort(blocks, axis=1)
+            canonical = canonical[np.lexsort(canonical.T[::-1])]
+            assert np.diff(canonical, axis=0).any(axis=1).all()  # no repeated partition
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partitions_equal_reference_strings(self, n):
+        for k in range(1, n + 1):
+            strings = np.concatenate(_reference_set_partitions(n, k))
+            masks = np.zeros((len(strings), k), dtype=np.intp)
+            for i in range(n):
+                masks[np.arange(len(strings)), strings[:, i]] |= 1 << i
+            assert sorted(map(tuple, masks)) == sorted(map(tuple, _set_partitions(n, k)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("resolution", [1, 7, 50])
+    def test_simplex_grid_rows_in_generator_order(self, dim, resolution):
+        grid = _simplex_grid(dim, resolution)
+        expected = np.array(list(_reference_simplex_grid(dim, resolution)))
+        assert grid.shape == expected.shape
+        assert np.array_equal(grid, expected)
+        assert not grid.flags.writeable
+
+
+def test_function_oracle_covers_every_map_to_k_labels():
+    # Every map E -> [k] from itertools.product, scored by shattering_value:
+    # a route that shares no code with the partition enumeration.
+    models = list(_seeded_models(113, 12, 5))
+    models.append(random_model_with_zeros(np.random.default_rng(127), 6, 3))
+    for model in models:
+        n = model.input_alphabet.size
+        y = _outcomes(model)[-1]
+        for k in range(1, n + 1):
+            best = max(
+                shattering_value(model, y, dict(zip(model.input_alphabet.symbols, labels)))
+                for labels in itertools.product(range(k), repeat=n)
+            )
+            got = randomized_function_oracle(model, y, k)
+            assert got == pytest.approx(max(best, 0.0), rel=1e-15, abs=0.0)
