@@ -86,6 +86,12 @@ def main():
             "continuous", "--family", str(FIXTURES / "family_gaussian_mixture.json"),
             "--outcome", "0.5",
         ],
+        "verify_subset_poisson_binomial.json": [
+            "verify", str(FIXTURES / "poisson_binomial_lam2_p05.json"), "--oracle", "subset",
+        ],
+        "verify_partition_poisson_binomial.json": [
+            "verify", str(FIXTURES / "poisson_binomial_lam2_p05.json"), "--oracle", "partition",
+        ],
     }
     for name, argv in goldens.items():
         proc = subprocess.run(

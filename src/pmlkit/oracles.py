@@ -36,9 +36,7 @@ from .errors import (
 
 #: largest input alphabet for subset enumeration (2^n events)
 SUBSET_CAP = 20
-#: largest number of enumerated groupings for the function adversary
-GROUPING_CAP = 10_000_000
-#: largest input alphabet for the function adversary
+#: largest input alphabet for the function adversary (Bell(10) = 115,975 groupings)
 FUNCTION_ALPHABET_CAP = 10
 #: largest estimate alphabet / resolution for simplex enumeration
 STRATEGY_ALPHABET_CAP = 4
@@ -109,10 +107,36 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
     return s
 
 
+#: the last prior seen by _prior_events: (probs, its event masses, full support)
+_prior_memo: tuple = (None, None, False)
+
+
+def _prior_events(prior: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """The prior's event masses, and whether every non-empty event has
+    positive mass, built once per prior rather than once per outcome.
+
+    A one-entry memo keyed on the identity of the read-only probability
+    array.  It holds that array, so no other array can take its identity.
+    """
+    global _prior_memo
+    memo = _prior_memo
+    if memo[0] is not prior:
+        sums = _subset_sums(prior)
+        sums.setflags(write=False)
+        memo = _prior_memo = (prior, sums, bool((prior > 0).all()))
+    return memo[1], memo[2]
+
+
 def _event_ratios(model: JointModel, y: Symbol) -> np.ndarray:
     """P_{X|y}(A) / P_X(A) for every event A, indexed by its bit mask."""
-    post = posterior(model, y).probs
-    return _set_ratios(_subset_sums(post), _subset_sums(model.prior.probs))
+    post_sums = _subset_sums(posterior(model, y).probs)
+    prior_sums, full_support = _prior_events(model.prior.probs)
+    if not full_support:
+        return _set_ratios(post_sums, prior_sums)
+    # the same divisions _set_ratios makes, with the empty event's 0/0 read as 1
+    np.divide(post_sums[1:], prior_sums[1:], out=post_sums[1:])
+    post_sums[0] = 1.0
+    return post_sums
 
 
 def subset_oracle(model: JointModel, y: Symbol) -> float:
@@ -234,22 +258,6 @@ def _set_partitions(n: int, max_groups: int) -> np.ndarray:
     return blocks
 
 
-def _count_partitions(n: int, max_groups: int) -> int:
-    # restricted Bell number via the Stirling triangle
-    row = [1]  # partitions of 1 element into exactly j+1 blocks
-    total = 1
-    for m in range(2, n + 1):
-        new = [0] * min(m, max_groups)
-        for j, cnt in enumerate(row):
-            if j < len(new):
-                new[j] += cnt * (j + 1)
-            if j + 1 < len(new):
-                new[j + 1] += cnt
-        row = new
-        total = sum(row)
-    return total if n >= 1 else 0
-
-
 def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) -> float:
     """Max shattering value over every total grouping of E into max_groups
     classes.
@@ -271,15 +279,9 @@ def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) ->
         )
     if max_groups < 1:
         raise ValidationError("max_groups must be a positive integer")
-    k = min(max_groups, n)
-    count = _count_partitions(n, k)
-    if count > GROUPING_CAP:
-        raise CapacityError(
-            f"{count} groupings exceed the enumeration cap {GROUPING_CAP}"
-        )
     _require_positive_outcome(model, y)
     ratios = _event_ratios(model, y)
-    return math.log(max(1.0, float(ratios[_set_partitions(n, k)].max())))
+    return math.log(max(1.0, float(ratios[_set_partitions(n, min(max_groups, n))].max())))
 
 
 @lru_cache(maxsize=None)

@@ -84,6 +84,10 @@ GOLDENS = {
                                           "--check-grid"],
     "continuous_gaussian_mixture.json": ["continuous", "--family",
                                          "family_gaussian_mixture.json", "--outcome", "0.5"],
+    "verify_subset_poisson_binomial.json": ["verify", "poisson_binomial_lam2_p05.json",
+                                            "--oracle", "subset"],
+    "verify_partition_poisson_binomial.json": ["verify", "poisson_binomial_lam2_p05.json",
+                                               "--oracle", "partition"],
 }
 
 

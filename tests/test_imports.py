@@ -1,7 +1,9 @@
-"""Import hygiene: the CLI, imported and run in a fresh interpreter, loads no scipy.
+"""Import hygiene: the CLI, imported and run in a fresh interpreter, loads no scipy,
+and ``verify`` loads ``numpy.random`` only for the oracle that draws gains.
 
 scipy takes most of an interpreter's start-up when it is imported, and
-only the library's Poisson truncation helpers need it.
+only the library's Poisson truncation helpers need it.  ``numpy.random``
+is a lazy numpy submodule; only ``verify --oracle strategies`` uses it.
 """
 
 import json
@@ -19,8 +21,10 @@ import json, sys
 import pmlkit.cli
 requests, out = json.loads(sys.argv[1]), sys.argv[2]
 codes = [pmlkit.cli.main(argv + ["--output", out]) for argv in requests]
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+def loaded(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+print(json.dumps({"codes": codes, "scipy": loaded("scipy"),
+                  "numpy.random": loaded("numpy.random")}))
 """
 
 
@@ -50,8 +54,8 @@ def _requests(fixtures):
     return requests
 
 
-def test_cli_requests_load_no_scipy(fixtures_dir, tmp_path):
-    requests = _requests(fixtures_dir)
+def _run_fresh(requests, tmp_path) -> dict:
+    """Run the requests in one fresh interpreter; return its exit codes and modules."""
     result = subprocess.run(
         [sys.executable, "-c", RUN_REQUESTS,
          json.dumps([argv for argv, _ in requests]), str(tmp_path / "report")],
@@ -60,4 +64,15 @@ def test_cli_requests_load_no_scipy(fixtures_dir, tmp_path):
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout)
     assert seen["codes"] == [code for _, code in requests]
-    assert seen["scipy"] == []
+    return seen
+
+
+def test_cli_requests_load_no_scipy(fixtures_dir, tmp_path):
+    assert _run_fresh(_requests(fixtures_dir), tmp_path)["scipy"] == []
+
+
+def test_verify_without_gains_loads_no_numpy_random(fixtures_dir, tmp_path):
+    model = str(fixtures_dir / "identity4.json")
+    requests = [(["verify", model, "--oracle", oracle], 0)
+                for oracle in ("subset", "partition", "functions")]
+    assert _run_fresh(requests, tmp_path)["numpy.random"] == []

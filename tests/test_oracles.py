@@ -28,7 +28,8 @@ from pmlkit import (
     uniform,
 )
 from pmlkit.errors import CapacityError, ValidationError
-from pmlkit.oracles import _count_partitions, _set_partitions, _simplex_grid
+from pmlkit import oracles
+from pmlkit.oracles import _set_partitions, _simplex_grid
 from conftest import random_full_support_model, random_model_with_zeros
 
 
@@ -356,6 +357,20 @@ def _reference_set_partitions(n, max_groups):
     return tuple(np.array(b, dtype=np.intp) for b in buckets if b)
 
 
+def _count_partitions(n, max_groups):
+    """Restricted Bell number via the Stirling triangle."""
+    row = [1]  # partitions of 1 element into exactly j+1 blocks
+    for m in range(2, n + 1):
+        new = [0] * min(m, max_groups)
+        for j, cnt in enumerate(row):
+            if j < len(new):
+                new[j] += cnt * (j + 1)
+            if j + 1 < len(new):
+                new[j + 1] += cnt
+        row = new
+    return sum(row) if n >= 1 else 0
+
+
 def _reference_best_set_ratio(post_sums, prior_sums):
     ratios = np.ones_like(post_sums)
     pos = prior_sums > 0
@@ -517,6 +532,33 @@ class TestArrayEnumerationAgainstReferences:
         assert grid.shape == expected.shape
         assert np.array_equal(grid, expected)
         assert not grid.flags.writeable
+
+
+class TestPriorEventMemo:
+    """The prior's event table is memoized per prior array; no call may read
+    the table of another model."""
+
+    def test_alternating_models_never_see_a_stale_table(self):
+        full = random_full_support_model(np.random.default_rng(131), 6, 3)
+        zeros = random_model_with_zeros(np.random.default_rng(137), 6, 4)
+        assert (full.prior.probs > 0).all() and (zeros.prior.probs == 0).any()
+        partitions = _reference_set_partitions(6, 6)
+        for model in (full, zeros, full):
+            for y in _outcomes(model):
+                assert subset_oracle(model, y) == _reference_subset_oracle(model, y)
+                assert oracles._prior_memo[0] is model.prior.probs
+                expected = _grouping_max(model, y, partitions)
+                assert randomized_function_oracle(model, y, 6) == expected
+
+    def test_plain_divide_at_the_subset_cap(self):
+        model = random_full_support_model(np.random.default_rng(139), oracles.SUBSET_CAP, 2)
+        y = _outcomes(model)[0]
+        assert subset_oracle(model, y) == _reference_subset_oracle(model, y)
+        masked = oracles._set_ratios(
+            oracles._subset_sums(posterior(model, y).probs),
+            oracles._subset_sums(model.prior.probs),
+        )
+        assert np.array_equal(oracles._event_ratios(model, y), masked)
 
 
 def test_function_oracle_covers_every_map_to_k_labels():
