@@ -17,10 +17,36 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
-sys.path.insert(0, str(ROOT / "src"))
+#: the argv of each golden report; names of files in fixtures/ stand for
+#: their paths.  tests/test_cli.py loads this table from here.
+GOLDENS = {
+    "compute_geometric_binary.json": ["compute", "geometric_binary_p03_q05.json"],
+    "compute_identity4.json": ["compute", "identity4.json"],
+    "tail_identity4.json": ["tail", "identity4.json", "--eps", "1.0",
+                            "--eps", "1.3862943611198906"],
+    "continuous_additive_gaussian.json": ["continuous", "--family",
+                                          "family_additive_gaussian.json", "--outcome", "0",
+                                          "--check-grid"],
+    "continuous_bivariate_gaussian.json": ["continuous", "--family",
+                                           "family_bivariate_gaussian.json", "--outcome", "1",
+                                           "--check-grid"],
+    "continuous_gaussian_mixture.json": ["continuous", "--family",
+                                         "family_gaussian_mixture.json", "--outcome", "0.5"],
+    "continuous_poisson_binomial.json": ["continuous", "--family",
+                                         "family_poisson_binomial.json", "--outcome", "3"],
+    "continuous_geometric_binary.json": ["continuous", "--family",
+                                         "family_geometric_binary.json", "--outcome", "1",
+                                         "--units", "bits"],
+    "verify_subset_poisson_binomial.json": ["verify", "poisson_binomial_lam2_p05.json",
+                                            "--oracle", "subset"],
+    "verify_partition_poisson_binomial.json": ["verify", "poisson_binomial_lam2_p05.json",
+                                               "--oracle", "partition"],
+}
 
-from pmlkit import geometric_binary_model, discretize_poisson_binomial  # noqa: E402
-from pmlkit.modelio import save_model_json  # noqa: E402
+
+def golden_argv(name):
+    """The CLI arguments of a golden report, with fixture names as paths."""
+    return [str(FIXTURES / a) if (FIXTURES / a).is_file() else a for a in GOLDENS[name]]
 
 
 def write(path, text):
@@ -30,6 +56,10 @@ def write(path, text):
 
 
 def main():
+    sys.path.insert(0, str(ROOT / "src"))
+    from pmlkit import geometric_binary_model, discretize_poisson_binomial
+    from pmlkit.modelio import save_model_json
+
     FIXTURES.mkdir(exist_ok=True)
     GOLDEN.mkdir(exist_ok=True)
 
@@ -70,32 +100,9 @@ def main():
     for name, spec in families.items():
         write(FIXTURES / f"family_{name}.json", json.dumps(spec, indent=2, sort_keys=True) + "\n")
 
-    goldens = {
-        "compute_geometric_binary.json": [
-            "compute", str(FIXTURES / "geometric_binary_p03_q05.json"),
-        ],
-        "compute_identity4.json": ["compute", str(FIXTURES / "identity4.json")],
-        "tail_identity4.json": [
-            "tail", str(FIXTURES / "identity4.json"), "--eps", "1.0", "--eps", "1.3862943611198906",
-        ],
-        "continuous_additive_gaussian.json": [
-            "continuous", "--family", str(FIXTURES / "family_additive_gaussian.json"),
-            "--outcome", "0", "--check-grid",
-        ],
-        "continuous_gaussian_mixture.json": [
-            "continuous", "--family", str(FIXTURES / "family_gaussian_mixture.json"),
-            "--outcome", "0.5",
-        ],
-        "verify_subset_poisson_binomial.json": [
-            "verify", str(FIXTURES / "poisson_binomial_lam2_p05.json"), "--oracle", "subset",
-        ],
-        "verify_partition_poisson_binomial.json": [
-            "verify", str(FIXTURES / "poisson_binomial_lam2_p05.json"), "--oracle", "partition",
-        ],
-    }
-    for name, argv in goldens.items():
+    for name in GOLDENS:
         proc = subprocess.run(
-            [sys.executable, "-m", "pmlkit.cli"] + argv,
+            [sys.executable, "-m", "pmlkit.cli"] + golden_argv(name),
             capture_output=True, text=True, cwd=ROOT,
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(ROOT / "src")},
         )

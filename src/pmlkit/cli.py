@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .continuous import ClosedFormModel, GridSpec, pml_closed_form, pml_density, to_density_model
 from .distributions import Alphabet, JointModel
-from .errors import CapabilityError, CapacityError, PmlError
+from .errors import CapabilityError, CapacityError, PmlError, ValidationError
 from .leakage import (
     LN2,
     LeakageProfile,
@@ -185,16 +185,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_ORACLE
 
 
-def _load_spec(raw: str) -> dict:
+def _load_spec(raw: str, what: str, keys=None) -> dict:
+    """A JSON object given inline or as a file path, with keys among ``keys``."""
     text = raw.strip()
     if not text.startswith("{"):
         with open(text, encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    spec = json.loads(text)
+    if not isinstance(spec, dict) or not set(spec) <= set(keys or spec):
+        within = f" with keys among {sorted(keys)}" if keys else ""
+        raise ValidationError(f"{what} must be a JSON object{within}, got {spec!r}")
+    return spec
 
 
 def cmd_continuous(args) -> int:
-    spec = _load_spec(args.family)
+    spec = _load_spec(args.family, "family spec")
     model = ClosedFormModel(spec["family"], spec.get("params", {}))
     y = float(args.outcome)
     closed = pml_closed_form(model, y)
@@ -209,7 +214,8 @@ def cmd_continuous(args) -> int:
         }
     )
     if args.check_grid:
-        grid = GridSpec(**_load_spec(args.grid)) if args.grid else GridSpec()
+        spec = _load_spec(args.grid, "grid spec", GridSpec().to_dict()) if args.grid else {}
+        grid = GridSpec(**spec)
         doc["grid"] = grid.to_dict()
         try:
             density = to_density_model(model, grid.quantile_clip)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import statistics
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -30,9 +31,6 @@ from .errors import (
     ValidationError,
 )
 from .leakage import LeakageValue
-
-#: families with a continuous secret, eligible for grid checks and probes
-GAUSSIAN_FAMILIES = ("additive_gaussian", "bivariate_gaussian")
 
 MIN_GRID_POINTS = 1 << 10
 DENSITY_CLIP_DEFICIT = 1e-6
@@ -66,16 +64,19 @@ class GridSpec:
     refine: int = 16
 
     def __post_init__(self):
-        if self.points < MIN_GRID_POINTS:
-            raise ValidationError(f"grid needs >= {MIN_GRID_POINTS} points")
-        if not (0 < self.quantile_clip <= MAX_QUANTILE_CLIP):
+        if not (isinstance(self.points, numbers.Integral) and self.points >= MIN_GRID_POINTS):
+            raise ValidationError(
+                f"grid points must be an integer >= {MIN_GRID_POINTS}, got {self.points!r}"
+            )
+        if not (isinstance(self.quantile_clip, numbers.Real)
+                and 0 < self.quantile_clip <= MAX_QUANTILE_CLIP):
             raise ValidationError(
                 f"quantile_clip must lie in (0, {MAX_QUANTILE_CLIP:g}], got "
                 f"{self.quantile_clip!r}: the two clipped prior tails may drop at "
                 f"most {DENSITY_CLIP_DEFICIT:g} of mass"
             )
-        if self.refine < 1:
-            raise ValidationError("refine factor must be >= 1")
+        if not (isinstance(self.refine, numbers.Integral) and self.refine >= 1):
+            raise ValidationError(f"refine factor must be an integer >= 1, got {self.refine!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -158,12 +159,73 @@ def pml_density(
     return DensityLeakageResult(LeakageValue(max(math.log(best), 0.0)), grid, best_x)
 
 
-_FAMILY_PARAMS = {
-    "additive_gaussian": ("sigma_x", "sigma_n"),
-    "bivariate_gaussian": ("sigma_x", "sigma_y", "rho"),
-    "gaussian_mixture": ("sigma",),
-    "poisson_binomial": ("lam", "p"),
-    "geometric_binary": ("p", "q"),
+def _poisson_binomial_pml(p, y) -> float:
+    if y != int(y) or y < 0:
+        raise ValidationError(f"poisson_binomial outcomes are non-negative integers, got {y!r}")
+    return p["lam"] * p["p"] - int(y) * math.log(p["lam"]) + math.lgamma(int(y) + 1)
+
+
+def _geometric_binary_pml(p, y) -> float:
+    if y not in (0, 1):
+        raise ValidationError(f"geometric_binary outcomes are 0 or 1, got {y!r}")
+    top = 1.0 - p["q"] + p["p"] * p["q"]
+    return math.log(top / p["p"]) if y == 0 else math.log(top / (1.0 - p["q"]))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Family:
+    """One closed-form family: its parameter names, its domain checks as
+    (holds, message) pairs, its leakage in nats at an outcome and, for a
+    continuous secret, its linear-Gaussian shape (sx, slope, cond, s_y):
+    X ~ N(0, sx^2), Y | X ~ N(slope * x, cond^2) and Y ~ N(0, s_y^2)."""
+
+    params: Tuple[str, ...]
+    checks: Tuple[Tuple[Callable[[dict], bool], str], ...]
+    closed_form: Callable[[dict, float], float]
+    shape: Optional[Callable[[dict], Tuple[float, float, float, float]]] = None
+
+
+_FAMILIES = {
+    "additive_gaussian": _Family(
+        ("sigma_x", "sigma_n"),
+        ((lambda p: p["sigma_x"] > 0 and p["sigma_n"] > 0,
+          "additive_gaussian requires sigma_x, sigma_n > 0"),),
+        lambda p, y: (0.5 * math.log1p(p["sigma_x"] ** 2 / p["sigma_n"] ** 2)
+                      + y * y / (2.0 * (p["sigma_x"] ** 2 + p["sigma_n"] ** 2))),
+        lambda p: (p["sigma_x"], 1.0, p["sigma_n"], math.hypot(p["sigma_x"], p["sigma_n"])),
+    ),
+    "bivariate_gaussian": _Family(
+        ("sigma_x", "sigma_y", "rho"),
+        ((lambda p: p["sigma_x"] > 0 and p["sigma_y"] > 0,
+          "bivariate_gaussian requires sigma_x, sigma_y > 0"),
+         (lambda p: -1.0 < p["rho"] < 1.0, "bivariate_gaussian requires rho in (-1, 1)")),
+        lambda p, y: (0.0 if p["rho"] == 0.0 else
+                      y * y / (2.0 * p["sigma_y"] ** 2) - 0.5 * math.log1p(-p["rho"] * p["rho"])),
+        lambda p: (p["sigma_x"], p["rho"] * p["sigma_y"] / p["sigma_x"],
+                   p["sigma_y"] * math.sqrt(1.0 - p["rho"] * p["rho"]), p["sigma_y"]),
+    ),
+    "gaussian_mixture": _Family(
+        ("sigma",),
+        ((lambda p: p["sigma"] > 0, "gaussian_mixture requires sigma > 0"),),
+        # log(2 / (t + 1)) with t = exp(0) = 1 gives exactly 0.0 at the midpoint
+        lambda p, y: max(
+            math.log(2.0 / (math.exp(-abs(y - 0.5) / p["sigma"] ** 2) + 1.0)), 0.0
+        ),
+    ),
+    "poisson_binomial": _Family(
+        ("lam", "p"),
+        # the boundary lam * (1 - p) == 1 is admitted: the closed form still
+        # holds there (the maximizing term ties at x = y and y - 1)
+        ((lambda p: p["lam"] > 1 and 0 < p["p"] < 1 and p["lam"] * (1 - p["p"]) <= 1,
+          "poisson_binomial requires lam > 1, p in (0, 1), lam * (1 - p) <= 1"),),
+        _poisson_binomial_pml,
+    ),
+    "geometric_binary": _Family(
+        ("p", "q"),
+        ((lambda p: 0 < p["p"] < 1 and 0 < p["q"] < 1,
+          "geometric_binary requires p, q in (0, 1)"),),
+        _geometric_binary_pml,
+    ),
 }
 
 
@@ -175,101 +237,54 @@ class ClosedFormModel:
     params: Mapping[str, float]
 
     def __post_init__(self):
-        if self.family not in _FAMILY_PARAMS:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
-        expected = _FAMILY_PARAMS[self.family]
-        given = dict(self.params)
-        if set(given) != set(expected):
+        record = _FAMILIES[self.family]
+        if not isinstance(self.params, Mapping):
+            raise ParameterError(f"{self.family} params must be an object, got {self.params!r}")
+        if set(self.params) != set(record.params):
             raise ParameterError(
-                f"{self.family} expects parameters {expected}, got {tuple(given)}"
+                f"{self.family} expects parameters {record.params}, got {tuple(self.params)}"
             )
-        object.__setattr__(self, "params", {k: float(given[k]) for k in expected})
-        p = self.params
-        if self.family == "additive_gaussian":
-            if p["sigma_x"] <= 0 or p["sigma_n"] <= 0:
-                raise ParameterError("additive_gaussian requires sigma_x, sigma_n > 0")
-        elif self.family == "bivariate_gaussian":
-            if p["sigma_x"] <= 0 or p["sigma_y"] <= 0:
-                raise ParameterError("bivariate_gaussian requires sigma_x, sigma_y > 0")
-            if not (-1.0 < p["rho"] < 1.0):
-                raise ParameterError("bivariate_gaussian requires rho in (-1, 1)")
-        elif self.family == "gaussian_mixture":
-            if p["sigma"] <= 0:
-                raise ParameterError("gaussian_mixture requires sigma > 0")
-        elif self.family == "poisson_binomial":
-            # the boundary lam * (1 - p) == 1 is admitted: the closed form
-            # still holds there (the maximizing term ties at x = y and y - 1)
-            if not (p["lam"] > 1 and 0 < p["p"] < 1 and p["lam"] * (1 - p["p"]) <= 1):
+        for name, value in self.params.items():
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ParameterError(
-                    "poisson_binomial requires lam > 1, p in (0, 1), lam * (1 - p) <= 1"
+                    f"{self.family} parameter {name} must be a finite number, got {value!r}"
                 )
-        elif self.family == "geometric_binary":
-            if not (0 < p["p"] < 1 and 0 < p["q"] < 1):
-                raise ParameterError("geometric_binary requires p, q in (0, 1)")
+        p = {name: float(self.params[name]) for name in record.params}
+        object.__setattr__(self, "params", p)
+        for holds, message in record.checks:
+            if not holds(p):
+                raise ParameterError(message)
 
 
 def pml_closed_form(model: ClosedFormModel, y) -> LeakageValue:
     """Evaluate the family's closed-form leakage at the outcome y, in nats."""
-    p = model.params
-    if model.family == "additive_gaussian":
-        sx2, sn2 = p["sigma_x"] ** 2, p["sigma_n"] ** 2
-        return LeakageValue(0.5 * math.log1p(sx2 / sn2) + y * y / (2.0 * (sx2 + sn2)))
-    if model.family == "bivariate_gaussian":
-        rho = p["rho"]
-        if rho == 0.0:
-            return LeakageValue(0.0)
-        return LeakageValue(
-            y * y / (2.0 * p["sigma_y"] ** 2) - 0.5 * math.log1p(-rho * rho)
-        )
-    if model.family == "gaussian_mixture":
-        s2 = p["sigma"] ** 2
-        # log(2 / (t + 1)) with t = 1 gives exactly 0.0 at the midpoint
-        t = math.exp(-abs(y - 0.5) / s2)
-        return LeakageValue(max(math.log(2.0 / (t + 1.0)), 0.0))
-    if model.family == "poisson_binomial":
-        if y != int(y) or y < 0:
-            raise ValidationError(f"poisson_binomial outcomes are non-negative integers, got {y!r}")
-        y = int(y)
-        lam = p["lam"]
-        return LeakageValue(lam * p["p"] - y * math.log(lam) + math.lgamma(y + 1))
-    if model.family == "geometric_binary":
-        if y not in (0, 1):
-            raise ValidationError(f"geometric_binary outcomes are 0 or 1, got {y!r}")
-        pp, q = p["p"], p["q"]
-        top = 1.0 - q + pp * q
-        return LeakageValue(math.log(top / pp) if y == 0 else math.log(top / (1.0 - q)))
-    raise ParameterError(f"unknown family {model.family!r}")
+    if not math.isfinite(y):
+        raise ValidationError(f"outcome must be finite, got {y!r}")
+    return LeakageValue(_FAMILIES[model.family].closed_form(model.params, y))
+
+
+def _linear_gaussian(model: ClosedFormModel, refusal: str) -> Tuple[float, float, float, float]:
+    shape = _FAMILIES[model.family].shape
+    if shape is None:
+        raise CapabilityError(refusal)
+    return shape(model.params)
 
 
 def to_density_model(
     model: ClosedFormModel, quantile_clip: float = 1e-9
 ) -> DensityModel:
     """Grid-checkable density model for the continuous-secret families."""
-    p = model.params
-    if model.family == "additive_gaussian":
-        sx, sn = p["sigma_x"], p["sigma_n"]
-        s_y = math.hypot(sx, sn)
-        half = sx * _norm_isf(quantile_clip)
-        return DensityModel(
-            x_domain=(-half, half),
-            prior_density=lambda x: _norm_pdf(x, scale=sx),
-            conditional_density=lambda y, x: _norm_pdf(y - x, scale=sn),
-            marginal_density=lambda y: float(_norm_pdf(y, scale=s_y)),
-        )
-    if model.family == "bivariate_gaussian":
-        sx, sy, rho = p["sigma_x"], p["sigma_y"], p["rho"]
-        cond_scale = sy * math.sqrt(1.0 - rho * rho)
-        half = sx * _norm_isf(quantile_clip)
-        return DensityModel(
-            x_domain=(-half, half),
-            prior_density=lambda x: _norm_pdf(x, scale=sx),
-            conditional_density=lambda y, x: _norm_pdf(
-                y, loc=rho * sy / sx * x, scale=cond_scale
-            ),
-            marginal_density=lambda y: float(_norm_pdf(y, scale=sy)),
-        )
-    raise CapabilityError(
-        f"grid checks require a continuous secret; family {model.family!r} unsupported"
+    sx, slope, cond, s_y = _linear_gaussian(
+        model, f"grid checks require a continuous secret; family {model.family!r} unsupported"
+    )
+    half = sx * _norm_isf(quantile_clip)
+    return DensityModel(
+        x_domain=(-half, half),
+        prior_density=lambda x: _norm_pdf(x, scale=sx),
+        conditional_density=lambda y, x: _norm_pdf(y, loc=slope * x, scale=cond),
+        marginal_density=lambda y: float(_norm_pdf(y, scale=s_y)),
     )
 
 
@@ -312,41 +327,28 @@ def integrability_probe(
 ) -> IntegrabilityProbe:
     """Monte Carlo means of exp(leakage(Y)) with Y drawn from the marginal.
 
-    The additive-Gaussian exponent y^2 / (2 (sigma_x^2 + sigma_n^2))
-    exactly cancels the marginal's Gaussian decay, so the integrand is
-    bounded below by a constant and the expectation diverges; the
-    bivariate family diverges likewise unless rho = 0.
+    For a linear-Gaussian family with a nonzero slope the integrand is
+    s_y / cond * exp(y^2 / (2 s_y^2)), whose exponent exactly cancels the
+    marginal's Gaussian decay, so the expectation diverges.  With slope 0
+    (the bivariate family at rho = 0) Y is independent of X and the
+    integrand is 1.
     """
     counts = tuple(int(n) for n in sample_counts)
     if len(counts) < 3 or any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValidationError("sample_counts must be at least 3 increasing integers")
-    p = model.params
-    if model.family == "additive_gaussian":
-        s2 = p["sigma_x"] ** 2 + p["sigma_n"] ** 2
-        scale = math.sqrt(1.0 + p["sigma_x"] ** 2 / p["sigma_n"] ** 2)
-        exp_leak = lambda ys: scale * np.exp(ys * ys / (2.0 * s2))
-        marginal_sd = math.sqrt(s2)
-        diverges = True
-    elif model.family == "bivariate_gaussian":
-        sy2 = p["sigma_y"] ** 2
-        rho = p["rho"]
-        if rho == 0.0:
-            exp_leak = lambda ys: np.ones_like(ys)
-        else:
-            scale = 1.0 / math.sqrt(1.0 - rho * rho)
-            exp_leak = lambda ys: scale * np.exp(ys * ys / (2.0 * sy2))
-        marginal_sd = math.sqrt(sy2)
-        diverges = rho != 0.0
+    _, slope, cond, s_y = _linear_gaussian(
+        model, f"integrability probe supports Gaussian families only, not {model.family!r}"
+    )
+    if slope == 0.0:
+        exp_leak = np.ones_like
     else:
-        raise CapabilityError(
-            f"integrability probe supports Gaussian families only, not {model.family!r}"
-        )
+        exp_leak = lambda ys: s_y / cond * np.exp(ys * ys / (2.0 * s_y**2))
     rng = np.random.default_rng(seed)
     estimates = []
     for n in counts:
-        ys = rng.normal(0.0, marginal_sd, size=n)
+        ys = rng.normal(0.0, s_y, size=n)
         estimates.append(float(np.mean(exp_leak(ys))))
-    return IntegrabilityProbe(model.family, counts, tuple(estimates), seed, diverges)
+    return IntegrabilityProbe(model.family, counts, tuple(estimates), seed, slope != 0.0)
 
 
 def discretize_poisson_binomial(

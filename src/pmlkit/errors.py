@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all pmlkit modules.
 
-The CLI maps these onto stable exit codes: validation problems exit 1,
-oracle-guarantee violations exit 2, capacity/capability limits exit 3.
+The CLI maps these onto stable exit codes: ``CapacityError`` and
+``CapabilityError`` exit 3, every other ``PmlError`` exits 1.  Among the
+latter, ``ParameterError`` refuses a closed-form family's missing,
+non-numeric, non-finite or out-of-domain parameters.  An oracle that
+disagrees with the pipeline is a report verdict (exit 2), not an error.
 """
 
 
@@ -27,19 +30,6 @@ class UnsupportedLawError(ValidationError):
 
 class ParameterError(ValidationError):
     """A closed-form family was given parameters outside its domain."""
-
-
-class AbsoluteContinuityError(PmlError):
-    """Posterior is not absolutely continuous w.r.t. the prior.
-
-    Raised by routines (e.g. the partition oracle) that are only defined
-    in the absolutely continuous case; the subset oracle handles the
-    infinite-leakage case instead.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class CapacityError(PmlError):

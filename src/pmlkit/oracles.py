@@ -28,7 +28,6 @@ from .distributions import (
     posterior,
 )
 from .errors import (
-    AbsoluteContinuityError,
     AlphabetMismatchError,
     CapacityError,
     ValidationError,
@@ -107,13 +106,13 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
     return s
 
 
-#: the last prior seen by _prior_events: (probs, its event masses, full support)
-_prior_memo: tuple = (None, None, False)
+#: the last prior seen by _prior_events: (probs, its event masses, its null events)
+_prior_memo: tuple = (None, None, None)
 
 
-def _prior_events(prior: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """The prior's event masses, and whether every non-empty event has
-    positive mass, built once per prior rather than once per outcome.
+def _prior_events(prior: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The prior's event masses and the masks of its null events (the subsets
+    of its zero atoms), built once per prior rather than once per outcome.
 
     A one-entry memo keyed on the identity of the read-only probability
     array.  It holds that array, so no other array can take its identity.
@@ -123,20 +122,24 @@ def _prior_events(prior: np.ndarray) -> Tuple[np.ndarray, bool]:
     if memo[0] is not prior:
         sums = _subset_sums(prior)
         sums.setflags(write=False)
-        memo = _prior_memo = (prior, sums, bool((prior > 0).all()))
+        # a mask is the sum of its atoms' bit values: 2^z entries for z zero atoms
+        null = _subset_sums(np.exp2(np.flatnonzero(prior == 0))).astype(np.intp)
+        memo = _prior_memo = (prior, sums, null)
     return memo[1], memo[2]
 
 
 def _event_ratios(model: JointModel, y: Symbol) -> np.ndarray:
-    """P_{X|y}(A) / P_X(A) for every event A, indexed by its bit mask."""
-    post_sums = _subset_sums(posterior(model, y).probs)
-    prior_sums, full_support = _prior_events(model.prior.probs)
-    if not full_support:
-        return _set_ratios(post_sums, prior_sums)
-    # the same divisions _set_ratios makes, with the empty event's 0/0 read as 1
-    np.divide(post_sums[1:], prior_sums[1:], out=post_sums[1:])
-    post_sums[0] = 1.0
-    return post_sums
+    """P_{X|y}(A) / P_X(A) for every event A, indexed by its bit mask.
+
+    Bayes inversion gives a null event no posterior mass, so its 0/0 reads
+    1, as in _set_ratios; no other event divides by zero.
+    """
+    ratios = _subset_sums(posterior(model, y).probs)
+    prior_sums, null = _prior_events(model.prior.probs)
+    with np.errstate(invalid="ignore"):
+        np.divide(ratios, prior_sums, out=ratios)
+    ratios[null] = 1.0
+    return ratios
 
 
 def subset_oracle(model: JointModel, y: Symbol) -> float:
@@ -186,14 +189,8 @@ def build_partition_gain(model: JointModel, y: Symbol, epsilon: float) -> Partit
     prior = model.prior.probs
     cells: Dict[float, list] = {}
     for i, x in enumerate(model.input_alphabet.symbols):
-        if prior[i] == 0.0:
-            if post[i] > 0.0:
-                raise AbsoluteContinuityError(
-                    f"posterior not absolutely continuous at atom {x!r}", witness=x
-                )
-            f = 1.0  # 0/0 convention
-        else:
-            f = post[i] / prior[i]
+        # a prior-null atom gets no posterior mass either: 0/0 reads 1
+        f = post[i] / prior[i] if prior[i] > 0.0 else 1.0
         w = -math.inf if f == 0.0 else math.floor(math.log(f) / epsilon)
         cells.setdefault(w, []).append(x)
     return PartitionGain(epsilon, {w: tuple(xs) for w, xs in cells.items()})

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -73,30 +75,23 @@ def test_compute_matches_golden(capsys, fixtures_dir):
     assert out == golden
 
 
-# the argv of each golden report (fixture file names are resolved in fixtures/)
-GOLDENS = {
-    "compute_geometric_binary.json": ["compute", "geometric_binary_p03_q05.json"],
-    "compute_identity4.json": ["compute", "identity4.json"],
-    "tail_identity4.json": ["tail", "identity4.json", "--eps", "1.0",
-                            "--eps", "1.3862943611198906"],
-    "continuous_additive_gaussian.json": ["continuous", "--family",
-                                          "family_additive_gaussian.json", "--outcome", "0",
-                                          "--check-grid"],
-    "continuous_gaussian_mixture.json": ["continuous", "--family",
-                                         "family_gaussian_mixture.json", "--outcome", "0.5"],
-    "verify_subset_poisson_binomial.json": ["verify", "poisson_binomial_lam2_p05.json",
-                                            "--oracle", "subset"],
-    "verify_partition_poisson_binomial.json": ["verify", "poisson_binomial_lam2_p05.json",
-                                               "--oracle", "partition"],
-}
+# one table of golden argv, shared with the script that writes the goldens
+_script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+_spec = importlib.util.spec_from_file_location("make_fixtures", _script)
+make_fixtures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_fixtures)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDENS))
+@pytest.mark.parametrize("name", sorted(make_fixtures.GOLDENS))
 def test_report_matches_golden(fixtures_dir, tmp_path, name):
-    argv = [str(fixtures_dir / a) if (fixtures_dir / a).is_file() else a for a in GOLDENS[name]]
     out = tmp_path / name
-    assert main(argv + ["--output", str(out)]) == 0
+    assert main(make_fixtures.golden_argv(name) + ["--output", str(out)]) == 0
     assert out.read_bytes() == (fixtures_dir / "golden" / name).read_bytes()
+
+
+def test_every_golden_file_has_an_argv(fixtures_dir):
+    on_disk = {p.name for p in (fixtures_dir / "golden").iterdir()}
+    assert on_disk == set(make_fixtures.GOLDENS)
 
 
 def test_reports_are_deterministic(capsys, fixtures_dir):
@@ -197,6 +192,40 @@ def test_continuous_grid_check_unsupported_family(capsys, fixtures_dir):
     assert "error" in doc["grid_check"]
 
 
+POISSON_GRID_REFUSAL = """\
+{
+  "closed_form": 0.7123179275482197,
+  "command": "continuous",
+  "family": "poisson_binomial",
+  "grid": {
+    "points": 16384,
+    "quantile_clip": 1e-09,
+    "refine": 16
+  },
+  "grid_check": {
+    "error": "grid checks require a continuous secret; family 'poisson_binomial' unsupported"
+  },
+  "outcome": 3.0,
+  "params": {
+    "lam": 2.0,
+    "p": 0.5
+  },
+  "seed": 42,
+  "tool": "pmlkit",
+  "units": "nats",
+  "version": "0.1.0"
+}
+"""
+
+
+def test_grid_refusal_report_bytes(capsys, fixtures_dir):
+    code, out, err = run(
+        capsys, "continuous", "--family", str(fixtures_dir / "family_poisson_binomial.json"),
+        "--outcome", "3", "--check-grid",
+    )
+    assert (code, out, err) == (3, POISSON_GRID_REFUSAL, "")
+
+
 @pytest.mark.parametrize(
     "name", ["family_additive_gaussian.json", "family_bivariate_gaussian.json"]
 )
@@ -226,6 +255,66 @@ def test_continuous_parameter_error(capsys):
         "--outcome", "0",
     )
     assert code == 1 and "rho" in err
+
+
+FAMILY_PARAMS = {
+    "additive_gaussian": {"sigma_x": 1.0, "sigma_n": 1.0},
+    "bivariate_gaussian": {"sigma_x": 1.0, "sigma_y": 1.0, "rho": 0.0},
+    "gaussian_mixture": {"sigma": 1.0},
+    "poisson_binomial": {"lam": 2.0, "p": 0.5},
+    "geometric_binary": {"p": 0.3, "q": 0.5},
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_exits_one(capsys, family, bad):
+    params = dict(FAMILY_PARAMS[family])
+    name = sorted(params)[0]
+    params[name] = bad
+    spec = json.dumps({"family": family, "params": params})  # NaN and Infinity literals
+    code, out, err = run(capsys, "continuous", "--family", spec, "--outcome", "1", "--check-grid")
+    assert (code, out) == (1, "")
+    assert f"{family} parameter {name} must be a finite number, got {bad!r}" in err
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+@pytest.mark.parametrize("outcome", ["nan", "inf", "-inf"])
+def test_non_finite_outcome_exits_one(capsys, family, outcome):
+    spec = json.dumps({"family": family, "params": FAMILY_PARAMS[family]})
+    code, out, err = run(capsys, "continuous", "--family", spec, f"--outcome={outcome}")
+    assert (code, out) == (1, "")
+    assert f"outcome must be finite, got {float(outcome)!r}" in err
+
+
+@pytest.mark.parametrize(
+    "family,grid,message",
+    [
+        ('{"family": "gaussian_mixture", "params": [1, 2]}', None,
+         "gaussian_mixture params must be an object, got [1, 2]"),
+        ('{"family": "bivariate_gaussian", '
+         '"params": {"sigma_x": null, "sigma_y": 1, "rho": 0}}', None,
+         "bivariate_gaussian parameter sigma_x must be a finite number, got None"),
+        ("list_spec.json", None,
+         "family spec must be a JSON object, got [{'family': 'gaussian_mixture'}]"),
+        ("family_additive_gaussian.json", '{"pts": 2000}',
+         "grid spec must be a JSON object with keys among "
+         "['points', 'quantile_clip', 'refine'], got {'pts': 2000}"),
+        ("family_additive_gaussian.json", '{"points": "abc"}',
+         "grid points must be an integer >= 1024, got 'abc'"),
+    ],
+    ids=["params_list", "null_parameter", "spec_not_object", "unknown_grid_key",
+         "grid_points_text"],
+)
+def test_malformed_spec_exits_one(capsys, fixtures_dir, tmp_path, family, grid, message):
+    (tmp_path / "list_spec.json").write_text('[{"family": "gaussian_mixture"}]')
+    files = {p.name: str(p) for d in (fixtures_dir, tmp_path) for p in d.glob("*.json")}
+    argv = ["continuous", "--family", files.get(family, family), "--outcome", "1"]
+    if grid is not None:
+        argv += ["--check-grid", "--grid", grid]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"pmlkit: validation error: {message}\n"
 
 
 def test_tail_identity(capsys, fixtures_dir):

@@ -104,9 +104,20 @@ def test_parameter_validation():
         ClosedFormModel("gaussian_mixture", {"sigma": 1.0, "extra": 2.0})
 
 
-@pytest.mark.parametrize("sx,sn", [(1.0, 1.0), (1.0, 3.0), (2.0, 0.5)])
-def test_grid_matches_additive_closed_form(sx, sn):
-    m = ClosedFormModel("additive_gaussian", {"sigma_x": sx, "sigma_n": sn})
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        pytest.param("additive_gaussian", {"sigma_x": sx, "sigma_n": sn}, id=f"{sx}-{sn}")
+        for sx, sn in [(1.0, 1.0), (1.0, 3.0), (2.0, 0.5)]
+    ] + [
+        pytest.param("bivariate_gaussian", {"sigma_x": sx, "sigma_y": sy, "rho": rho},
+                     id=f"bivariate-{sx}-{sy}-{rho}")
+        for sx, sy, rho in [(1.0, 1.0, 0.5), (1.0, 2.0, -0.5), (0.5, 3.0, 0.9), (2.0, 0.5, 0.0)]
+    ],
+)
+def test_grid_matches_additive_closed_form(family, params):
+    # both linear-Gaussian families; the additive ones keep their first ids
+    m = ClosedFormModel(family, params)
     density = to_density_model(m)
     for y in (-3.0, -1.0, 0.0, 1.0, 3.0):
         result = pml_density(density, y)
@@ -194,6 +205,28 @@ def test_integrability_probe_bivariate_control():
     assert integrability_probe(correlated, [10, 20, 30]).diverges
 
 
+@pytest.mark.parametrize(
+    "family,params,marginal_sd",
+    [
+        ("additive_gaussian", {"sigma_x": 1.0, "sigma_n": 1.0}, math.sqrt(2.0)),
+        ("additive_gaussian", {"sigma_x": 1.3, "sigma_n": 0.4}, math.sqrt(1.3**2 + 0.4**2)),
+        ("bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 2.0, "rho": -0.5}, 2.0),
+        ("bivariate_gaussian", {"sigma_x": 0.7, "sigma_y": 1.5, "rho": 0.0}, 1.5),
+    ],
+    ids=["additive-equal", "additive-skewed", "bivariate", "bivariate-independent"],
+)
+def test_integrability_probe_is_the_mean_of_exp_closed_form(family, params, marginal_sd):
+    # the same seeded draws of Y, scored by the closed form one outcome at a time
+    model = ClosedFormModel(family, params)
+    counts = (100, 1000, 10000)
+    probe = integrability_probe(model, counts, seed=11)
+    rng = np.random.default_rng(11)
+    for n, estimate in zip(counts, probe.estimates):
+        ys = rng.normal(0.0, marginal_sd, size=n)
+        expected = math.fsum(math.exp(pml_closed_form(model, float(y)).nats) for y in ys) / n
+        assert estimate == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_integrability_probe_guards():
     pois = ClosedFormModel("poisson_binomial", {"lam": 2.0, "p": 0.5})
     with pytest.raises(CapabilityError):
@@ -261,3 +294,64 @@ def test_lgamma_agrees_with_gammaln():
 
     for y in range(401):
         assert math.lgamma(y + 1) == pytest.approx(float(gammaln(y + 1)), rel=1e-15)
+
+
+# every ParameterError and CapabilityError text, verbatim
+PARAMETER_ERRORS = [
+    ("additive_gaussian", {"sigma_x": 0.0, "sigma_n": 1.0},
+     "additive_gaussian requires sigma_x, sigma_n > 0"),
+    ("additive_gaussian", {"sigma_x": 1.0, "sigma_n": -1.0},
+     "additive_gaussian requires sigma_x, sigma_n > 0"),
+    ("additive_gaussian", {"sigma_x": 1.0},
+     "additive_gaussian expects parameters ('sigma_x', 'sigma_n'), got ('sigma_x',)"),
+    ("bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 0.0, "rho": 0.0},
+     "bivariate_gaussian requires sigma_x, sigma_y > 0"),
+    ("bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 1.0, "rho": 1.0},
+     "bivariate_gaussian requires rho in (-1, 1)"),
+    ("bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 1.0},
+     "bivariate_gaussian expects parameters ('sigma_x', 'sigma_y', 'rho'), "
+     "got ('sigma_x', 'sigma_y')"),
+    ("gaussian_mixture", {"sigma": 0.0}, "gaussian_mixture requires sigma > 0"),
+    ("gaussian_mixture", {"sigma": 1.0, "extra": 2.0},
+     "gaussian_mixture expects parameters ('sigma',), got ('sigma', 'extra')"),
+    ("poisson_binomial", {"lam": 3.0, "p": 0.5},
+     "poisson_binomial requires lam > 1, p in (0, 1), lam * (1 - p) <= 1"),
+    ("poisson_binomial", {"lam": 1.0, "p": 0.5},
+     "poisson_binomial requires lam > 1, p in (0, 1), lam * (1 - p) <= 1"),
+    ("poisson_binomial", {"p": 0.5, "lam": 2.0, "x": 1},
+     "poisson_binomial expects parameters ('lam', 'p'), got ('p', 'lam', 'x')"),
+    ("geometric_binary", {"p": 0.3, "q": 1.0}, "geometric_binary requires p, q in (0, 1)"),
+    ("geometric_binary", {"q": 0.3},
+     "geometric_binary expects parameters ('p', 'q'), got ('q',)"),
+    ("gaussian_noise", {"sigma": 1.0}, "unknown family 'gaussian_noise'"),
+]
+
+@pytest.mark.parametrize("family,params,message", PARAMETER_ERRORS)
+def test_parameter_error_text(family, params, message):
+    with pytest.raises(ParameterError) as info:
+        ClosedFormModel(family, params)
+    assert str(info.value) == message
+
+
+CAPABILITY_ERRORS = [
+    ("gaussian_mixture", {"sigma": 1.0},
+     "grid checks require a continuous secret; family 'gaussian_mixture' unsupported",
+     "integrability probe supports Gaussian families only, not 'gaussian_mixture'"),
+    ("poisson_binomial", {"lam": 2.0, "p": 0.5},
+     "grid checks require a continuous secret; family 'poisson_binomial' unsupported",
+     "integrability probe supports Gaussian families only, not 'poisson_binomial'"),
+    ("geometric_binary", {"p": 0.3, "q": 0.5},
+     "grid checks require a continuous secret; family 'geometric_binary' unsupported",
+     "integrability probe supports Gaussian families only, not 'geometric_binary'"),
+]
+
+
+@pytest.mark.parametrize("family,params,grid_message,probe_message", CAPABILITY_ERRORS)
+def test_capability_error_text(family, params, grid_message, probe_message):
+    model = ClosedFormModel(family, params)
+    with pytest.raises(CapabilityError) as info:
+        to_density_model(model)
+    assert str(info.value) == grid_message
+    with pytest.raises(CapabilityError) as info:
+        integrability_probe(model, [10, 20, 30])
+    assert str(info.value) == probe_message

@@ -551,14 +551,18 @@ class TestPriorEventMemo:
                 assert randomized_function_oracle(model, y, 6) == expected
 
     def test_plain_divide_at_the_subset_cap(self):
-        model = random_full_support_model(np.random.default_rng(139), oracles.SUBSET_CAP, 2)
-        y = _outcomes(model)[0]
-        assert subset_oracle(model, y) == _reference_subset_oracle(model, y)
-        masked = oracles._set_ratios(
-            oracles._subset_sums(posterior(model, y).probs),
-            oracles._subset_sums(model.prior.probs),
-        )
-        assert np.array_equal(oracles._event_ratios(model, y), masked)
+        n = oracles.SUBSET_CAP
+        full = random_full_support_model(np.random.default_rng(139), n, 2)
+        zeros = random_model_with_zeros(np.random.default_rng(149), n, 3)
+        assert 0 < (zeros.prior.probs == 0).sum() < n
+        for model in (full, zeros):
+            y = _outcomes(model)[0]
+            assert subset_oracle(model, y) == _reference_subset_oracle(model, y)
+            masked = oracles._set_ratios(
+                oracles._subset_sums(posterior(model, y).probs),
+                oracles._subset_sums(model.prior.probs),
+            )
+            assert np.array_equal(oracles._event_ratios(model, y), masked)
 
 
 def test_function_oracle_covers_every_map_to_k_labels():
