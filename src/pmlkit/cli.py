@@ -6,7 +6,12 @@ oracles against the pipeline), ``continuous`` (closed-form families),
 stdout; ``--format csv`` switches the profile/tail tables to CSV.
 
 Exit codes: 0 success, 1 validation failure, 2 oracle-guarantee
-violation, 3 capacity/capability error.
+violation, 3 capacity/capability error.  argparse usage errors also exit
+2: they print ``usage:`` on stderr and nothing on stdout, where an oracle
+violation prints a report with ``"all_ok": false``.
+
+Each request is parsed by its command's parser alone (``COMMANDS``); the
+full parser is built only when argparse must speak for the whole program.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ def _header(args, model: JointModel = None) -> dict:
 
 
 def _json(document: dict) -> str:
-    return json.dumps(jsonable(document), indent=2, sort_keys=True) + "\n"
+    return json.dumps(jsonable(document), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv(header_row, columns) -> str:
@@ -125,6 +130,10 @@ def _random_gain(rng, model: JointModel) -> GainFunction:
 
 
 def cmd_verify(args) -> int:
+    if math.isnan(args.eps):  # every report echoes it
+        raise ValidationError(f"--eps must be a number, got {args.eps!r}")
+    if args.oracle == "strategies" and args.gains < 1:
+        raise ValidationError(f"--gains must be >= 1 for the strategies oracle, got {args.gains}")
     model = load_model(args.channel, args.prior)
     if args.oracle == "strategies":
         rng = np.random.default_rng(args.seed)
@@ -274,29 +283,23 @@ def cmd_tail(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pmlkit",
-        description="Per-outcome information leakage for discrete channels and density models.",
-    )
-    parser.add_argument("--version", action="version", version=f"pmlkit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _model_args(p) -> None:
+    p.add_argument("channel", help="model JSON file, or channel CSV (with PRIOR)")
+    p.add_argument("prior", nargs="?", default=None, help="prior CSV for CSV channels")
+    p.add_argument("--units", choices=("nats", "bits"), default="nats")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
-    def add_model_args(p):
-        p.add_argument("channel", help="model JSON file, or channel CSV (with PRIOR)")
-        p.add_argument("prior", nargs="?", default=None, help="prior CSV for CSV channels")
-        p.add_argument("--units", choices=("nats", "bits"), default="nats")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
-    p = sub.add_parser("compute", help="leakage profile or a single outcome's leakage")
-    add_model_args(p)
+def _compute_args(p) -> None:
+    _model_args(p)
     p.add_argument("--outcome", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("verify", help="check the pipeline against a brute-force adversary")
-    add_model_args(p)
+
+def _verify_args(p) -> None:
+    _model_args(p)
     p.add_argument(
         "--oracle",
         required=True,
@@ -308,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=20, help="simplex grid resolution")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("continuous", help="closed-form families, optionally grid-checked")
+
+def _continuous_args(p) -> None:
     p.add_argument("--family", required=True, help="family spec JSON (inline or a file path)")
     p.add_argument("--outcome", required=True, type=float)
     p.add_argument("--grid", default=None, help="grid spec JSON (inline or a file path)")
@@ -318,17 +322,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_continuous)
 
-    p = sub.add_parser("tail", help="P(leakage > eps) table and the leakage CDF")
-    add_model_args(p)
+
+def _tail_args(p) -> None:
+    _model_args(p)
     p.add_argument("--eps", type=float, action="append", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_tail)
+
+
+#: name -> (help in the command list, a function that adds the command's
+#: arguments and its ``func`` default), in the order ``pmlkit -h`` lists them
+COMMANDS = {
+    "compute": ("leakage profile or a single outcome's leakage", _compute_args),
+    "verify": ("check the pipeline against a brute-force adversary", _verify_args),
+    "continuous": ("closed-form families, optionally grid-checked", _continuous_args),
+    "tail": ("P(leakage > eps) table and the leakage CDF", _tail_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pmlkit",
+        description="Per-outcome information leakage for discrete channels and density models.",
+    )
+    parser.add_argument("--version", action="version", version=f"pmlkit {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv`` with only the named command's parser when that suffices.
+
+    ``add_parser`` gives a command's parser the prog ``pmlkit NAME`` and
+    nothing else, and the full parser hands it everything after the name
+    through ``parse_known_args``, so the two agree on every namespace,
+    help text and error.  Anything the command's parser leaves over, and
+    any argv that does not start with a command name (top-level ``-h``,
+    ``--version``, no or an unknown command), goes to the full parser,
+    which reports it as it always has.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"pmlkit {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (CapacityError, CapabilityError) as exc:

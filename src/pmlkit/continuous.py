@@ -38,6 +38,10 @@ DENSITY_CLIP_DEFICIT = 1e-6
 #: 2 * clip of mass, and 2% of DENSITY_CLIP_DEFICIT is left for the
 #: trapezoid rule, which loses about 7e-13 more at 1 << 14 points
 MAX_QUANTILE_CLIP = 0.49 * DENSITY_CLIP_DEFICIT
+#: closed range of a family's scale parameters: the closed forms square
+#: them and divide one square by another, and within this range every
+#: such square and ratio is a normal float
+SCALE_RANGE = (1e-75, 1e75)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -177,12 +181,14 @@ class _Family:
     """One closed-form family: its parameter names, its domain checks as
     (holds, message) pairs, its leakage in nats at an outcome and, for a
     continuous secret, its linear-Gaussian shape (sx, slope, cond, s_y):
-    X ~ N(0, sx^2), Y | X ~ N(slope * x, cond^2) and Y ~ N(0, s_y^2)."""
+    X ~ N(0, sx^2), Y | X ~ N(slope * x, cond^2) and Y ~ N(0, s_y^2).
+    Its ``scales`` must lie in SCALE_RANGE."""
 
     params: Tuple[str, ...]
     checks: Tuple[Tuple[Callable[[dict], bool], str], ...]
     closed_form: Callable[[dict, float], float]
     shape: Optional[Callable[[dict], Tuple[float, float, float, float]]] = None
+    scales: Tuple[str, ...] = ()
 
 
 _FAMILIES = {
@@ -193,6 +199,7 @@ _FAMILIES = {
         lambda p, y: (0.5 * math.log1p(p["sigma_x"] ** 2 / p["sigma_n"] ** 2)
                       + y * y / (2.0 * (p["sigma_x"] ** 2 + p["sigma_n"] ** 2))),
         lambda p: (p["sigma_x"], 1.0, p["sigma_n"], math.hypot(p["sigma_x"], p["sigma_n"])),
+        ("sigma_x", "sigma_n"),
     ),
     "bivariate_gaussian": _Family(
         ("sigma_x", "sigma_y", "rho"),
@@ -203,6 +210,7 @@ _FAMILIES = {
                       y * y / (2.0 * p["sigma_y"] ** 2) - 0.5 * math.log1p(-p["rho"] * p["rho"])),
         lambda p: (p["sigma_x"], p["rho"] * p["sigma_y"] / p["sigma_x"],
                    p["sigma_y"] * math.sqrt(1.0 - p["rho"] * p["rho"]), p["sigma_y"]),
+        ("sigma_x", "sigma_y"),
     ),
     "gaussian_mixture": _Family(
         ("sigma",),
@@ -211,6 +219,7 @@ _FAMILIES = {
         lambda p, y: max(
             math.log(2.0 / (math.exp(-abs(y - 0.5) / p["sigma"] ** 2) + 1.0)), 0.0
         ),
+        scales=("sigma",),
     ),
     "poisson_binomial": _Family(
         ("lam", "p"),
@@ -247,7 +256,11 @@ class ClosedFormModel:
                 f"{self.family} expects parameters {record.params}, got {tuple(self.params)}"
             )
         for name, value in self.params.items():
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            try:
+                finite = isinstance(value, numbers.Real) and math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise ParameterError(
                     f"{self.family} parameter {name} must be a finite number, got {value!r}"
                 )
@@ -256,6 +269,13 @@ class ClosedFormModel:
         for holds, message in record.checks:
             if not holds(p):
                 raise ParameterError(message)
+        lo, hi = SCALE_RANGE
+        for name in record.scales:
+            if not lo <= p[name] <= hi:
+                raise ParameterError(
+                    f"{self.family} parameter {name} must lie in [{lo:g}, {hi:g}], "
+                    f"got {p[name]!r}"
+                )
 
 
 def pml_closed_form(model: ClosedFormModel, y) -> LeakageValue:

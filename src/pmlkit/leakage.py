@@ -220,7 +220,7 @@ def mean_leakage(profile: LeakageProfile) -> LeakageValue:
 
 def tail_probability(profile: LeakageProfile, eps: float) -> float:
     """P_Y over the outcomes whose leakage strictly exceeds eps."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValidationError(f"eps must be >= 0, got {eps!r}")
     mask = profile.nats_array() > eps
     return float(profile.weights.probs[mask].sum())

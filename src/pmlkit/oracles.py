@@ -182,8 +182,8 @@ class PartitionGain:
 
 
 def build_partition_gain(model: JointModel, y: Symbol, epsilon: float) -> PartitionGain:
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < epsilon < math.inf:
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
     _require_positive_outcome(model, y)
     post = posterior(model, y).probs
     prior = model.prior.probs

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -6,6 +7,12 @@ import pytest
 from pmlkit import Alphabet, DiscreteChannel, DiscreteDistribution, JointModel
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# one table of golden argv, shared with the script that writes the goldens
+_script = FIXTURES.parent / "scripts" / "make_fixtures.py"
+_spec = importlib.util.spec_from_file_location("make_fixtures", _script)
+make_fixtures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_fixtures)
 
 
 def random_full_support_model(rng, n_in, n_out):

@@ -1,7 +1,5 @@
-import importlib.util
 import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -14,10 +12,11 @@ from pmlkit import (
     leakage_profile,
     tail_probability,
 )
+from pmlkit import cli
 from pmlkit.cli import main
 from pmlkit.continuous import MAX_QUANTILE_CLIP
 from pmlkit.modelio import save_model_json
-from conftest import random_full_support_model
+from conftest import make_fixtures, random_full_support_model
 
 
 def run(capsys, *argv):
@@ -73,13 +72,6 @@ def test_compute_matches_golden(capsys, fixtures_dir):
     assert code == 0
     golden = (fixtures_dir / "golden" / "compute_geometric_binary.json").read_text()
     assert out == golden
-
-
-# one table of golden argv, shared with the script that writes the goldens
-_script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
-_spec = importlib.util.spec_from_file_location("make_fixtures", _script)
-make_fixtures = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_fixtures)
 
 
 @pytest.mark.parametrize("name", sorted(make_fixtures.GOLDENS))
@@ -278,6 +270,44 @@ def test_non_finite_parameter_exits_one(capsys, family, bad):
     assert f"{family} parameter {name} must be a finite number, got {bad!r}" in err
 
 
+@pytest.mark.parametrize(
+    "family,name,value,message",
+    [
+        ("additive_gaussian", "sigma_x", "1e200", "must lie in [1e-75, 1e+75], got 1e+200"),
+        ("additive_gaussian", "sigma_n", "1e-200", "must lie in [1e-75, 1e+75], got 1e-200"),
+        ("bivariate_gaussian", "sigma_y", "1e-200", "must lie in [1e-75, 1e+75], got 1e-200"),
+        ("gaussian_mixture", "sigma", "1e200", "must lie in [1e-75, 1e+75], got 1e+200"),
+        ("gaussian_mixture", "sigma", "1e-200", "must lie in [1e-75, 1e+75], got 1e-200"),
+        ("poisson_binomial", "lam", "1" + "0" * 400,
+         "must be a finite number, got 1" + "0" * 400),
+        ("geometric_binary", "q", "-1" + "0" * 400,
+         "must be a finite number, got -1" + "0" * 400),
+    ],
+    ids=["additive_huge", "additive_tiny", "bivariate_tiny", "mixture_huge", "mixture_tiny",
+         "poisson_integer_beyond_float", "geometric_integer_beyond_float"],
+)
+def test_extreme_finite_parameter_exits_one(capsys, family, name, value, message):
+    params = {k: json.dumps(v) for k, v in FAMILY_PARAMS[family].items()}
+    params[name] = value  # spliced as JSON text: json.dumps cannot write the big integers
+    spec = '{"family": "%s", "params": {%s}}' % (
+        family, ", ".join(f'"{k}": {v}' for k, v in params.items()))
+    code, out, err = run(capsys, "continuous", "--family", spec, "--outcome", "1")
+    assert (code, out) == (1, "")
+    assert f"{family} parameter {name} {message}" in err
+
+
+@pytest.mark.parametrize("scale", [1e-75, 1e75])
+@pytest.mark.parametrize("family", ["additive_gaussian", "bivariate_gaussian",
+                                    "gaussian_mixture"])
+def test_scale_range_ends_give_finite_leakage(capsys, family, scale):
+    params = {k: scale if k.startswith("sigma") else v for k, v in FAMILY_PARAMS[family].items()}
+    if family == "additive_gaussian":
+        params["sigma_n"] = {1e-75: 1e75, 1e75: 1e-75}[scale]  # the largest ratio of squares
+    spec = json.dumps({"family": family, "params": params})
+    doc = run_json(capsys, "continuous", "--family", spec, "--outcome", "1")
+    assert math.isfinite(doc["closed_form"])
+
+
 @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
 @pytest.mark.parametrize("outcome", ["nan", "inf", "-inf"])
 def test_non_finite_outcome_exits_one(capsys, family, outcome):
@@ -326,6 +356,41 @@ def test_tail_identity(capsys, fixtures_dir):
     assert doc["rows"][1]["tail_probability"] == 0.0
     assert doc["cdf"]["leakage"] == pytest.approx([math.log(4)])
     assert doc["cdf"]["probability"] == [1.0]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["tail", "identity4.json", "--eps", "nan"], "eps must be >= 0, got nan"),
+        *((["verify", "identity4.json", "--oracle", oracle, "--eps", "nan"],
+           "--eps must be a number, got nan")
+          for oracle in ("subset", "partition", "functions", "strategies")),
+        (["verify", "identity4.json", "--oracle", "partition", "--eps", "inf"],
+         "epsilon must be positive and finite, got inf"),
+        (["verify", "identity4.json", "--oracle", "strategies", "--gains", "0"],
+         "--gains must be >= 1 for the strategies oracle, got 0"),
+        (["verify", "identity4.json", "--oracle", "strategies", "--gains", "-3"],
+         "--gains must be >= 1 for the strategies oracle, got -3"),
+    ],
+    ids=["tail_nan", "subset_nan", "partition_nan", "functions_nan", "strategies_nan",
+         "partition_inf", "strategies_no_gains", "strategies_negative_gains"],
+)
+def test_unusable_option_exits_one(capsys, fixtures_dir, argv, message):
+    code, out, err = run(capsys, *(str(fixtures_dir / a) if a.endswith(".json") else a
+                                   for a in argv))
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_gains_are_unused_outside_strategies(capsys, fixtures_dir):
+    doc = run_json(capsys, "verify", str(fixtures_dir / "identity4.json"),
+                   "--oracle", "subset", "--gains", "0")
+    assert doc["all_ok"] and doc["parameters"]["gains"] == 0
+
+
+def test_reports_refuse_nan():
+    with pytest.raises(ValueError):
+        cli._json({"eps": math.nan})
 
 
 def test_tail_csv(capsys, fixtures_dir):

@@ -155,6 +155,9 @@ def test_tail_probability():
     )
     with pytest.raises(ValidationError):
         tail_probability(profile, -1.0)
+    with pytest.raises(ValidationError, match="eps must be >= 0, got nan"):
+        tail_probability(profile, math.nan)
+    assert tail_probability(profile, math.inf) == 0.0
 
 
 def test_tail_is_monotone_step_function():

@@ -156,6 +156,11 @@ class TestPartitionOracle:
         with pytest.raises(ValidationError):
             partition_oracle(model, 0, 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_epsilon(self, eps):
+        with pytest.raises(ValidationError, match=f"epsilon must be positive and finite, got {eps!r}"):
+            build_partition_gain(small_geometric_model(), 0, eps)
+
 
 class TestShattering:
     def test_identity_grouping_equals_pml(self):
