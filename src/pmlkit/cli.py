@@ -56,8 +56,8 @@ def _header(args, model: JointModel = None) -> dict:
     head = {
         "tool": "pmlkit",
         "version": __version__,
-        "units": getattr(args, "units", "nats"),
-        "seed": getattr(args, "seed", 42),
+        "units": args.units,
+        "seed": args.seed,
     }
     if model is not None:
         head["truncation_deficit"] = model.prior.truncation_deficit
@@ -77,7 +77,7 @@ def _csv(header_row, columns) -> str:
 
 def _emit(args, text: str) -> None:
     """Write a finished report to ``--output``, or to stdout."""
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -380,10 +380,7 @@ def main(argv=None) -> int:
     except (CapacityError, CapabilityError) as exc:
         print(f"pmlkit: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except PmlError as exc:
-        print(f"pmlkit: validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (PmlError, OSError, KeyError, ValueError) as exc:
         print(f"pmlkit: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -160,6 +160,10 @@ def pml_density(
     if float(fine_ratios[j]) > best:
         best = float(fine_ratios[j])
         best_x = float(fine[j])
+    if best == 0.0:
+        raise ValidationError(
+            f"conditional density at outcome y={y!r} is 0 at every grid point (points="
+            f"{grid.points}, refine={grid.refine}); its peak is narrower than the grid spacing")
     return DensityLeakageResult(LeakageValue(max(math.log(best), 0.0)), grid, best_x)
 
 
@@ -173,7 +177,9 @@ def _geometric_binary_pml(p, y) -> float:
     if y not in (0, 1):
         raise ValidationError(f"geometric_binary outcomes are 0 or 1, got {y!r}")
     top = 1.0 - p["q"] + p["p"] * p["q"]
-    return math.log(top / p["p"]) if y == 0 else math.log(top / (1.0 - p["q"]))
+    ratio = top / (p["p"] if y == 0 else 1.0 - p["q"])
+    # only a subnormal p overflows the ratio, and never its log
+    return math.log(ratio) if ratio < math.inf else math.log(top) - math.log(p["p"])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Discrete distributions, channels, and joint models.
 
 Everything here is immutable after construction and validated eagerly:
-probability vectors must sum to one (with an explicitly recorded
-truncation deficit for laws that were cut down from countable support),
-and malformed inputs are rejected rather than renormalized.
+every probability vector must be a law, as ``_law_fault`` defines it (it
+also checks the leakage kernel's posteriors), and malformed inputs are
+rejected rather than renormalized.
 
 Conventions used throughout the package:
 
@@ -40,6 +40,33 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr, dtype=float).copy()
     out.setflags(write=False)
     return out
+
+
+def _law_fault(probs: np.ndarray, deficits: np.ndarray):
+    """The first row of ``probs`` that is not a law, as ``(row, reason)``, or None.
+
+    Row i is a law when its entries are finite and >= 0, ``deficits[i]``
+    lies in [0, MAX_DEFICIT], and ``sum(probs[i]) + deficits[i]`` is 1
+    within SUM_ATOL; the reason names the first of these that row i fails.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge entries
+        totals = probs.sum(axis=1) + deficits
+    # NaN fails every comparison, and the total check rules out +inf entries
+    laws = ((np.minimum(probs.min(axis=1), deficits) >= 0) & (deficits <= MAX_DEFICIT)
+            & (abs(totals - 1.0) <= SUM_ATOL))
+    if laws.all():
+        return None
+    i = int(np.argmin(laws))
+    deficit = float(deficits[i])
+    if not np.all((probs[i] >= 0) & (probs[i] < math.inf)):
+        return i, "probabilities must be finite and >= 0"
+    if not deficit >= 0:  # also rejects NaN
+        return i, f"truncation_deficit must be >= 0, got {deficit!r}"
+    if deficit > MAX_DEFICIT:
+        return i, (f"truncation_deficit {deficit:g} exceeds the accepted "
+                   f"maximum {MAX_DEFICIT:g}; refine the truncation")
+    return i, (f"probabilities sum to {float(totals[i])!r} (with deficit "
+               f"{deficit:g}); expected 1 within {SUM_ATOL:g}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,29 +126,14 @@ class DiscreteDistribution:
                 f"probability vector length {probs.shape} does not match "
                 f"alphabet size {self.alphabet.size}"
             )
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ValidationError("probabilities must be finite and >= 0")
         deficit = float(self.truncation_deficit)
-        if not deficit >= 0:  # also rejects NaN
-            raise ValidationError(f"truncation_deficit must be >= 0, got {deficit!r}")
-        if deficit > MAX_DEFICIT:
-            raise ValidationError(
-                f"truncation_deficit {deficit:g} exceeds the accepted "
-                f"maximum {MAX_DEFICIT:g}; refine the truncation"
-            )
-        total = float(probs.sum()) + deficit
-        if abs(total - 1.0) > SUM_ATOL:
-            raise ValidationError(
-                f"probabilities sum to {total!r} (with deficit "
-                f"{deficit:g}); expected 1 within {SUM_ATOL:g}"
-            )
+        fault = _law_fault(probs[None], np.array([deficit]))
+        if fault is not None:
+            raise ValidationError(fault[1])
         object.__setattr__(self, "truncation_deficit", deficit)
 
     def prob(self, symbol: Symbol) -> float:
         return float(self.probs[self.alphabet.index(symbol)])
-
-    def support(self) -> tuple:
-        return tuple(s for s, p in zip(self.alphabet.symbols, self.probs) if p > 0)
 
 
 def uniform(alphabet: Alphabet) -> DiscreteDistribution:
@@ -140,8 +152,8 @@ class DiscreteChannel:
     """Row-stochastic conditional family P_{Y|X}.
 
     ``matrix[i, j]`` is the probability of output ``j`` given input ``i``.
-    Each row is validated as a DiscreteDistribution; rows of truncated
-    kernels carry their own deficits in ``row_deficits``.
+    Each row must be a law, as a DiscreteDistribution must; rows of
+    truncated kernels carry their own deficits in ``row_deficits``.
     """
 
     input_alphabet: Alphabet
@@ -167,29 +179,10 @@ class DiscreteChannel:
                 f"input alphabet size {self.input_alphabet.size}"
             )
         object.__setattr__(self, "row_deficits", deficits)
-        # Screen all rows at once with DiscreteDistribution's checks (a row
-        # sum along the contiguous axis equals the 1-D sum), then validate
-        # the flagged rows one by one so the error text is the same.
-        totals = matrix.sum(axis=1) + deficits
-        suspect = ~(
-            np.all(matrix >= 0, axis=1)
-            & np.all(np.isfinite(matrix), axis=1)
-            & (deficits >= 0)
-            & (deficits <= MAX_DEFICIT)
-            & (np.abs(totals - 1.0) <= SUM_ATOL)
-        )
-        for i in np.flatnonzero(suspect):
-            try:
-                DiscreteDistribution(self.output_alphabet, matrix[i], float(deficits[i]))
-            except ValidationError as exc:
-                symbol = self.input_alphabet.symbols[i]
-                raise ValidationError(f"channel row for input {symbol!r}: {exc}") from None
-
-    def row(self, x: Symbol) -> DiscreteDistribution:
-        i = self.input_alphabet.index(x)
-        return DiscreteDistribution(
-            self.output_alphabet, self.matrix[i], float(self.row_deficits[i])
-        )
+        fault = _law_fault(matrix, deficits)
+        if fault is not None:
+            symbol = self.input_alphabet.symbols[fault[0]]
+            raise ValidationError(f"channel row for input {symbol!r}: {fault[1]}")
 
     def compose(self, other: "DiscreteChannel") -> "DiscreteChannel":
         """Post-process through ``other``, realizing the chain X - Y - Z."""

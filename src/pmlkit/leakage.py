@@ -7,6 +7,9 @@ prior; collected over all outcomes (weighted by the output marginal)
 this forms the leakage random variable, from which the averaged
 statistics and tail probabilities derive.
 
+The leakage of a ``JointModel`` is finite, as Bayes' rule puts no
+posterior mass where the prior has none; the aggregates pass +inf through.
+
 All values are in nats internally; bits are a presentation conversion.
 """
 
@@ -19,12 +22,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .distributions import (
-    MAX_DEFICIT,
-    SUM_ATOL,
     Alphabet,
     DiscreteDistribution,
     JointModel,
     Symbol,
+    _law_fault,
     posterior,
 )
 from .errors import AlphabetMismatchError, ValidationError
@@ -115,12 +117,8 @@ def renyi_inf(p: DiscreteDistribution, q: DiscreteDistribution) -> LeakageValue:
     """
     if p.alphabet.symbols != q.alphabet.symbols:
         raise AlphabetMismatchError("renyi_inf requires a shared alphabet")
-    support = p.probs > 0
-    if not support.any():
-        return LeakageValue(0.0)
-    if np.any(q.probs[support] == 0.0):
-        return LeakageValue(math.inf)
-    with np.errstate(divide="ignore"):
+    support = p.probs > 0  # never empty: a law has mass near 1
+    with np.errstate(divide="ignore"):  # log Q(x) = -inf makes the ratio +inf
         val = float(np.max(np.log(p.probs[support]) - np.log(q.probs[support])))
     # max ratio >= 1 whenever both vectors (nearly) normalize; clamp fp dust
     return LeakageValue(max(val, 0.0))
@@ -132,8 +130,8 @@ def _leakage_nats(model: JointModel, outcomes: slice) -> np.ndarray:
     Per column these are the elementwise operations of
     ``renyi_inf(posterior(model, y), model.prior)``, so the values agree
     bit for bit (``log max_x W - log P_Y`` does not).  Outcomes with
-    P_Y(y) = 0 get 0.  A posterior failing ``DiscreteDistribution``'s
-    normalization check is rejected, naming its outcome.
+    P_Y(y) = 0 get 0.  A posterior that is not a law is rejected with
+    the reason ``posterior`` gives, naming its outcome.
     """
     prior = model.prior.probs
     p_y = model.marginal.probs[outcomes]
@@ -141,14 +139,12 @@ def _leakage_nats(model: JointModel, outcomes: slice) -> np.ndarray:
     # the one |X| x |Y| float temporary: the posteriors, then their log ratios
     ratio = prior[:, None] * model.channel.matrix[:, outcomes]
     ratio /= np.where(live, p_y, 1.0)
-    sums = ratio.sum(axis=0)
-    bad = np.flatnonzero(live & ~((1.0 - sums <= MAX_DEFICIT) & (sums - 1.0 <= SUM_ATOL)))
-    if bad.size:
-        y = model.output_alphabet.symbols[outcomes][bad[0]]
-        raise ValidationError(
-            f"posterior at outcome {y!r}: probabilities sum to {float(sums[bad[0]])!r}; "
-            f"expected 1 within {SUM_ATOL:g} (deficit at most {MAX_DEFICIT:g})"
-        )
+    # each live column's total, checked as a one-atom law as posterior() checks it
+    totals = np.where(live, ratio.sum(axis=0), 1.0)
+    fault = _law_fault(totals[:, None], np.maximum(1.0 - totals, 0.0))
+    if fault is not None:
+        y = model.output_alphabet.symbols[outcomes][fault[0]]
+        raise ValidationError(f"posterior at outcome {y!r}: {fault[1]}")
     support = ratio > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(ratio, out=ratio)
@@ -176,7 +172,7 @@ def leakage_profile(model: JointModel) -> LeakageProfile:
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) for a finite real 1-D array.
+    """log(sum(exp(a))) for a 1-D array of reals; an entry of +inf gives inf.
 
     Repeats the operations of ``scipy.special.logsumexp`` (1.17) in the
     same order, so the two agree bit for bit: the maximal entries are
@@ -199,11 +195,7 @@ def maximal_leakage(profile: LeakageProfile) -> LeakageValue:
     """
     weights = profile.weights.probs
     nats = profile.nats_array()
-    mask = weights > 0
-    if np.any(np.isinf(nats[mask])):
-        return LeakageValue(math.inf)
-    if not mask.any():
-        return LeakageValue(0.0)
+    mask = weights > 0  # never empty: the weights are a law
     val = _logsumexp(np.log(weights[mask]) + nats[mask])
     return LeakageValue(max(val, 0.0))
 
@@ -213,8 +205,6 @@ def mean_leakage(profile: LeakageProfile) -> LeakageValue:
     weights = profile.weights.probs
     nats = profile.nats_array()
     mask = weights > 0
-    if np.any(np.isinf(nats[mask])):
-        return LeakageValue(math.inf)
     return LeakageValue(max(float(np.dot(weights[mask], nats[mask])), 0.0))
 
 

@@ -154,8 +154,8 @@ def subset_oracle(model: JointModel, y: Symbol) -> float:
             f"subset oracle enumerates 2^n events; n={n} exceeds cap {SUBSET_CAP}"
         )
     _require_positive_outcome(model, y)
-    best = float(_event_ratios(model, y)[1:].max())
-    return math.log(best) if best > 0 else -math.inf
+    # the full event's ratio is about 1, so the maximum is positive
+    return math.log(float(_event_ratios(model, y)[1:].max()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -229,8 +229,8 @@ def shattering_value(
         j = index[grouping[x]]
         post_w[j] += post[i]
         prior_w[j] += prior[i]
-    best = float(_set_ratios(post_w, prior_w).max())
-    return math.log(best) if best > 0 else -math.inf
+    # the groups' union has a ratio of about 1, so the maximum is positive
+    return math.log(float(_set_ratios(post_w, prior_w).max()))
 
 
 @lru_cache(maxsize=None)

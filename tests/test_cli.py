@@ -296,6 +296,22 @@ def test_extreme_finite_parameter_exits_one(capsys, family, name, value, message
     assert f"{family} parameter {name} {message}" in err
 
 
+def test_grid_too_coarse_for_the_peak_exits_one(capsys):
+    spec = '{"family":"additive_gaussian","params":{"sigma_x":1e75,"sigma_n":1e-75}}'
+    code, out, err = run(capsys, "continuous", "--family", spec, "--outcome", "3", "--check-grid")
+    assert (code, out) == (1, "")
+    assert err == (
+        "pmlkit: validation error: conditional density at outcome y=3.0 is 0 at every "
+        "grid point (points=16384, refine=16); its peak is narrower than the grid spacing\n"
+    )
+
+
+def test_geometric_binary_subnormal_p_report(capsys):
+    spec = '{"family":"geometric_binary","params":{"p":5e-324,"q":0.5}}'
+    doc = run_json(capsys, "continuous", "--family", spec, "--outcome", "0")
+    assert doc["closed_form"] == pytest.approx(743.747, abs=1e-3)
+
+
 @pytest.mark.parametrize("scale", [1e-75, 1e75])
 @pytest.mark.parametrize("family", ["additive_gaussian", "bivariate_gaussian",
                                     "gaussian_mixture"])

@@ -91,6 +91,25 @@ def test_geometric_binary_closed_form_values():
     assert pml_closed_form(m, 1).nats == pytest.approx(math.log(0.65 / 0.5), abs=1e-15)
 
 
+@pytest.mark.parametrize("p", [5e-324, 1e-310])
+def test_geometric_binary_subnormal_p_is_finite(p):
+    # (1 - q + p q) / p overflows, its log does not: about 743.747 nats at 5e-324
+    value = pml_closed_form(ClosedFormModel("geometric_binary", {"p": p, "q": 0.5}), 0).nats
+    assert value == math.log(0.5) - math.log(p)
+    if p == 5e-324:
+        assert value == pytest.approx(743.747, abs=1e-3)
+
+
+def test_geometric_binary_normal_p_values_unchanged():
+    # for a p whose ratio does not overflow the value is log of the ratio, bit for bit
+    rng = np.random.default_rng(2024)
+    ps = np.concatenate([10.0 ** rng.uniform(-300, 0, 500), [1e-300]])
+    for p, q in zip(ps, rng.uniform(0.0, 1.0, ps.size)):
+        p, q = float(min(p, 0.999)), float(q)
+        m = ClosedFormModel("geometric_binary", {"p": p, "q": q})
+        assert pml_closed_form(m, 0).nats == math.log((1.0 - q + p * q) / p)
+
+
 def test_parameter_validation():
     with pytest.raises(ParameterError):
         ClosedFormModel("additive_gaussian", {"sigma_x": 0.0, "sigma_n": 1.0})
@@ -156,6 +175,15 @@ def test_density_zero_marginal_rejected():
     )
     with pytest.raises(UndefinedOutcomeError):
         pml_density(model, 5.0)
+
+
+def test_density_peak_between_grid_points_rejected():
+    # the conditional density is 0 at every grid point, so no ratio has a log
+    model = to_density_model(
+        ClosedFormModel("additive_gaussian", {"sigma_x": 1e75, "sigma_n": 1e-75})
+    )
+    with pytest.raises(ValidationError, match=r"y=3\.0 .*\(points=1024, refine=2\)"):
+        pml_density(model, 3.0, GridSpec(points=1024, refine=2))
 
 
 def test_grid_spec_validation():

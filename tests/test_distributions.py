@@ -166,3 +166,68 @@ def test_nan_deficit_is_rejected():
         DiscreteDistribution(a, np.array([0.5, 0.5]), truncation_deficit=math.nan)
     with pytest.raises(ValidationError, match="x1"):
         DiscreteChannel(a, Alphabet([0, 1]), np.full((2, 2), 0.5), np.array([0.0, math.nan]))
+
+
+# The texts are those the per-check code wrote before the law rule moved
+# into one function; a channel row holding inf and -inf used to warn
+# "invalid value encountered in reduce" on the way to the same text.
+_OK = [0.5, 0.5]
+_SUM_OFF = "probabilities sum to {} (with deficit 0); expected 1 within 1e-12"
+
+
+@pytest.mark.parametrize(
+    "probs, deficit, message",
+    [
+        ([0.5, -0.5], 0.0, "probabilities must be finite and >= 0"),
+        ([0.5, math.nan], 0.0, "probabilities must be finite and >= 0"),
+        ([math.inf, 0.5], 0.0, "probabilities must be finite and >= 0"),
+        ([math.inf, -math.inf], 0.0, "probabilities must be finite and >= 0"),
+        (_OK, math.nan, "truncation_deficit must be >= 0, got nan"),
+        (_OK, -1e-10, "truncation_deficit must be >= 0, got -1e-10"),
+        ([0.5, 0.5 + 1e-10], -1e-10, "truncation_deficit must be >= 0, got -1e-10"),
+        (_OK, 1e-6, "truncation_deficit 1e-06 exceeds the accepted maximum 1e-09; "
+                    "refine the truncation"),
+        ([0.5, 0.5 - 2e-9], 2e-9, "truncation_deficit 2e-09 exceeds the accepted "
+                                  "maximum 1e-09; refine the truncation"),
+        ([0.5, 0.5 + 2e-12], 0.0, _SUM_OFF.format("1.000000000002")),
+        ([0.5, 0.5 - 2e-12], 0.0, _SUM_OFF.format("0.999999999998")),
+        ([0.5, 0.25, 0.25], 0.0, "probability vector length (3,) does not match "
+                                 "alphabet size 2"),
+        ([_OK], 0.0, "probability vector length (1, 2) does not match alphabet size 2"),
+    ],
+)
+def test_distribution_error_text(probs, deficit, message):
+    with pytest.raises(ValidationError) as exc:
+        DiscreteDistribution(Alphabet(["a", "b"]), np.array(probs), deficit)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "matrix, deficits, message",
+    [
+        ([_OK, _OK], None, "channel matrix shape (2, 2) does not match alphabets (3, 2)"),
+        ([_OK] * 3, [0.0] * 4, "row_deficits shape (4,) does not match input alphabet size 3"),
+        # the first row that is not a law is named, with its own first fault
+        ([_OK, [0.5, -0.5], [0.5, 0.4]], None,
+         "channel row for input 'x1': probabilities must be finite and >= 0"),
+        ([_OK, [0.5, 0.4], [math.nan, 0.5]], None,
+         "channel row for input 'x1': " + _SUM_OFF.format("0.9")),
+        ([_OK, _OK, [math.inf, -math.inf]], None,
+         "channel row for input 'x2': probabilities must be finite and >= 0"),
+        ([_OK] * 3, [0.0, math.nan, 1e-6],
+         "channel row for input 'x1': truncation_deficit must be >= 0, got nan"),
+        ([_OK] * 3, [0.0, 0.0, -1e-10],
+         "channel row for input 'x2': truncation_deficit must be >= 0, got -1e-10"),
+        ([_OK, [0.5, 0.5 - 2e-9], _OK], [0.0, 2e-9, 1e-6],
+         "channel row for input 'x1': truncation_deficit 2e-09 exceeds the accepted "
+         "maximum 1e-09; refine the truncation"),
+        ([_OK, _OK, [0.5, 0.5 + 2e-12]], None,
+         "channel row for input 'x2': " + _SUM_OFF.format("1.000000000002")),
+    ],
+)
+def test_channel_error_text(matrix, deficits, message):
+    x, y = Alphabet(["x0", "x1", "x2"]), Alphabet([0, 1])
+    deficits = None if deficits is None else np.array(deficits)
+    with pytest.raises(ValidationError) as exc:
+        DiscreteChannel(x, y, np.array(matrix), deficits)
+    assert str(exc.value) == message

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,37 @@ def test_unnormalized_posterior_is_rejected_by_name():
     with pytest.raises(ValidationError, match="'rare'"):
         pml(skewed_model, "rare")
     assert pml(skewed_model, "common").nats >= 0.0  # that posterior still normalizes
+
+
+@pytest.mark.parametrize(
+    "skew, reason",
+    [
+        (5e-13, "truncation_deficit 0.0002"),  # the posterior falls short of 1
+        (-5e-13, "probabilities sum to 1.0002"),  # the posterior exceeds 1
+    ],
+)
+def test_unnormalized_posterior_gives_one_reason_on_every_route(skew, reason):
+    a = Alphabet(["x0", "x1"])
+    b = Alphabet(["common", "rare"])
+    model = JointModel(uniform(a), DiscreteChannel(a, b, np.array([[1.0, 0.0], [1 - 4e-9, 4e-9]])))
+    skewed = DiscreteDistribution(b, model.marginal.probs + np.array([-skew, skew]))
+    skewed_model = JointModel(model.prior, model.channel, skewed)
+    with pytest.raises(ValidationError) as direct:
+        posterior(skewed_model, "rare")
+    assert str(direct.value).startswith(reason)
+    for route in (lambda: pml(skewed_model, "rare"), lambda: leakage_profile(skewed_model)):
+        with pytest.raises(ValidationError) as exc:
+            route()
+        assert str(exc.value) == f"posterior at outcome 'rare': {direct.value}"
+
+
+def test_aggregates_of_an_infinite_leakage_are_infinite():
+    a = Alphabet([0, 1])
+    profile = LeakageProfile(a, [math.inf, 0.3], DiscreteDistribution(a, np.array([0.5, 0.5])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert maximal_leakage(profile).nats == math.inf
+        assert mean_leakage(profile).nats == math.inf
 
 
 def test_logsumexp_equals_scipy_bit_for_bit():

@@ -195,6 +195,24 @@ class TestShattering:
         with pytest.raises(ValidationError):
             shattering_value(model, 0, {model.input_alphabet.symbols[0]: 0})
 
+    @pytest.mark.parametrize("p, q", [(0.3, 0.5), (0.1, 0.9), (0.5, 0.2)])
+    def test_tail_lumped_functions_climb_to_pml(self, p, q):
+        # The countable-alphabet definition takes the supremum over functions
+        # of X. f_k keeps x < k and lumps the rest into one "tail" label; each
+        # f_{k+1} refines f_k, so the value may not fall (beyond rounding), and
+        # f_|X| separates every symbol. The 40 to 263 inputs are above every
+        # enumerating oracle's cap.
+        model = geometric_binary_model(p, q)
+        symbols = model.input_alphabet.symbols
+        assert symbols == tuple(range(1, len(symbols) + 1))
+        for y in (0, 1):
+            values = [
+                shattering_value(model, y, {x: x if x < k else "tail" for x in symbols})
+                for k in range(1, len(symbols) + 1)
+            ]
+            assert min(b - a for a, b in zip(values, values[1:])) >= -1e-12
+            assert values[-1] == pytest.approx(pml(model, y).nats, rel=0, abs=1e-12)
+
 
 class TestRandomizedFunctionOracle:
     def test_full_cardinality_equals_pml(self):
