@@ -6,12 +6,15 @@ Run explicitly from the repo root:
     python3 scripts/make_fixtures.py
 
 Goldens are byte-exact expected reports; tests never regenerate them.
+The fixture inputs come from ``fixture_texts()``, which a test compares
+with the committed files byte for byte.
 """
 
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -41,6 +44,12 @@ GOLDENS = {
                                             "--oracle", "subset"],
     "verify_partition_poisson_binomial.json": ["verify", "poisson_binomial_lam2_p05.json",
                                                "--oracle", "partition"],
+    "verify_functions4_cap10x8.json": ["verify", "cap10x8.json", "--oracle", "functions",
+                                       "--max-groups", "4"],
+    "verify_functions10_cap10x8.json": ["verify", "cap10x8.json", "--oracle", "functions",
+                                        "--max-groups", "10"],
+    "verify_strategies_cap10x8.json": ["verify", "cap10x8.json", "--oracle", "strategies",
+                                       "--gains", "6", "--resolution", "30"],
 }
 
 
@@ -49,22 +58,43 @@ def golden_argv(name):
     return [str(FIXTURES / a) if (FIXTURES / a).is_file() else a for a in GOLDENS[name]]
 
 
-def write(path, text):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    print(f"wrote {path.relative_to(ROOT)}")
+def cap_model():
+    """A full-support model at the function oracle's input cap (10 inputs, 8
+    outcomes), from integer weights: the prior's are 1 to 10, and row i of
+    the channel weighs outcome j by 1 + ((i + 1)(j + 2) mod 11), from 2 to 11."""
+    import numpy as np
+    from pmlkit import Alphabet, DiscreteChannel, DiscreteDistribution, JointModel
+    from pmlkit.oracles import FUNCTION_ALPHABET_CAP
+
+    n, m = FUNCTION_ALPHABET_CAP, 8
+    xs = Alphabet(list(range(n)))
+    prior = np.arange(1, n + 1, dtype=float)
+    i, j = np.indices((n, m))
+    weights = 1.0 + ((i + 1) * (j + 2)) % 11
+    return JointModel(
+        DiscreteDistribution(xs, prior / prior.sum()),
+        DiscreteChannel(xs, Alphabet([f"y{k}" for k in range(m)]),
+                        weights / weights.sum(axis=1, keepdims=True)),
+    )
 
 
-def main():
-    sys.path.insert(0, str(ROOT / "src"))
-    from pmlkit import geometric_binary_model, discretize_poisson_binomial
+def fixture_texts():
+    """The text of every fixture input (models, CSV pairs and family specs),
+    keyed by its file name in fixtures/."""
+    from pmlkit import discretize_poisson_binomial, geometric_binary_model
     from pmlkit.modelio import save_model_json
 
-    FIXTURES.mkdir(exist_ok=True)
-    GOLDEN.mkdir(exist_ok=True)
-
-    save_model_json(geometric_binary_model(0.3, 0.5), FIXTURES / "geometric_binary_p03_q05.json")
-    save_model_json(discretize_poisson_binomial(2.0, 0.5, 10), FIXTURES / "poisson_binomial_lam2_p05.json")
+    models = {
+        "geometric_binary_p03_q05.json": geometric_binary_model(0.3, 0.5),
+        "poisson_binomial_lam2_p05.json": discretize_poisson_binomial(2.0, 0.5, 10),
+        "cap10x8.json": cap_model(),
+    }
+    texts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, model in models.items():
+            path = pathlib.Path(tmp) / name
+            save_model_json(model, path)
+            texts[name] = path.read_text(encoding="utf-8")
 
     identity4 = {
         "alphabet_x": ["a", "b", "c", "d"],
@@ -77,18 +107,16 @@ def main():
             [0.0, 0.0, 0.0, 1.0],
         ],
     }
-    write(FIXTURES / "identity4.json", json.dumps(identity4, indent=2, sort_keys=True) + "\n")
-
-    write(
-        FIXTURES / "identity4_channel.csv",
-        "a,b,c,d\n1.0,0.0,0.0,0.0\n0.0,1.0,0.0,0.0\n0.0,0.0,1.0,0.0\n0.0,0.0,0.0,1.0\n",
+    texts["identity4.json"] = json.dumps(identity4, indent=2, sort_keys=True) + "\n"
+    texts["identity4_channel.csv"] = (
+        "a,b,c,d\n1.0,0.0,0.0,0.0\n0.0,1.0,0.0,0.0\n0.0,0.0,1.0,0.0\n0.0,0.0,0.0,1.0\n"
     )
-    write(FIXTURES / "identity4_prior.csv", "a,0.25\nb,0.25\nc,0.25\nd,0.25\n")
+    texts["identity4_prior.csv"] = "a,0.25\nb,0.25\nc,0.25\nd,0.25\n"
 
     bad = dict(identity4)
     bad["channel"] = [row[:] for row in identity4["channel"]]
     bad["channel"][1][1] = 0.97
-    write(FIXTURES / "bad_rowsum.json", json.dumps(bad, indent=2, sort_keys=True) + "\n")
+    texts["bad_rowsum.json"] = json.dumps(bad, indent=2, sort_keys=True) + "\n"
 
     families = {
         "additive_gaussian": {"family": "additive_gaussian", "params": {"sigma_x": 1.0, "sigma_n": 1.0}},
@@ -98,7 +126,20 @@ def main():
         "geometric_binary": {"family": "geometric_binary", "params": {"p": 0.3, "q": 0.5}},
     }
     for name, spec in families.items():
-        write(FIXTURES / f"family_{name}.json", json.dumps(spec, indent=2, sort_keys=True) + "\n")
+        texts[f"family_{name}.json"] = json.dumps(spec, indent=2, sort_keys=True) + "\n"
+    return texts
+
+
+def write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    print(f"wrote {path.relative_to(ROOT)}")
+
+
+def main():
+    sys.path.insert(0, str(ROOT / "src"))
+    for name, text in fixture_texts().items():
+        write(FIXTURES / name, text)
 
     for name in GOLDENS:
         proc = subprocess.run(

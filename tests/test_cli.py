@@ -86,6 +86,15 @@ def test_every_golden_file_has_an_argv(fixtures_dir):
     assert on_disk == set(make_fixtures.GOLDENS)
 
 
+def test_fixture_inputs_match_their_generator(fixtures_dir):
+    # The goldens read these files, so drift in save_model_json,
+    # geometric_binary_model or discretize_poisson_binomial shows here first.
+    texts = make_fixtures.fixture_texts()
+    assert {p.name for p in fixtures_dir.iterdir() if p.is_file()} == set(texts)
+    for name, text in texts.items():
+        assert (fixtures_dir / name).read_bytes() == text.encode("utf-8"), name
+
+
 def test_reports_are_deterministic(capsys, fixtures_dir):
     _, first, _ = run(capsys, "compute", str(fixtures_dir / "identity4.json"))
     _, second, _ = run(capsys, "compute", str(fixtures_dir / "identity4.json"))
