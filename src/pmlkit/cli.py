@@ -141,10 +141,10 @@ def cmd_verify(args) -> int:
     rows = []
     all_ok = True
     lower_bound_mode = False
-    for y, w in zip(model.output_alphabet.symbols, model.marginal.probs):
+    pmls = leakage_profile(model).nats_array().tolist()
+    for y, w, value in zip(model.output_alphabet.symbols, model.marginal.probs, pmls):
         if w <= 0:
             continue
-        value = pml(model, y).nats
         row = {"outcome": y, "p_y": float(w), "pml": value}
         if args.oracle == "subset":
             oracle = subset_oracle(model, y)

@@ -259,7 +259,10 @@ def posterior(model: JointModel, y: Symbol) -> DiscreteDistribution:
     p_y = float(model.marginal.probs[j])
     if p_y <= 0.0:
         return model.prior
-    probs = model.prior.probs * model.channel.matrix[:, j] / p_y
+    with np.errstate(over="ignore"):
+        probs = model.prior.probs * model.channel.matrix[:, j] / p_y
+    if probs.sum() == math.inf:  # a cached P_Y(y) far below the joint mass at y
+        raise ValidationError(f"posterior at outcome {y!r} overflows: cached P_Y is {p_y!r}")
     deficit = max(0.0, 1.0 - float(probs.sum()))
     return DiscreteDistribution(model.input_alphabet, probs, deficit)
 

@@ -138,12 +138,15 @@ def _leakage_nats(model: JointModel, outcomes: slice) -> np.ndarray:
     live = p_y > 0.0
     # the one |X| x |Y| float temporary: the posteriors, then their log ratios
     ratio = prior[:, None] * model.channel.matrix[:, outcomes]
-    ratio /= np.where(live, p_y, 1.0)
+    with np.errstate(over="ignore"):  # posterior() words the overflow, below
+        ratio /= np.where(live, p_y, 1.0)
     # each live column's total, checked as a one-atom law as posterior() checks it
     totals = np.where(live, ratio.sum(axis=0), 1.0)
     fault = _law_fault(totals[:, None], np.maximum(1.0 - totals, 0.0))
     if fault is not None:
         y = model.output_alphabet.symbols[outcomes][fault[0]]
+        if totals[fault[0]] == math.inf:
+            posterior(model, y)  # raises, naming the cached P_Y(y)
         raise ValidationError(f"posterior at outcome {y!r}: {fault[1]}")
     support = ratio > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

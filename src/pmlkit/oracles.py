@@ -233,16 +233,15 @@ def shattering_value(
     return math.log(float(_set_ratios(post_w, prior_w).max()))
 
 
-@lru_cache(maxsize=None)
 def _set_partitions(n: int, max_groups: int) -> np.ndarray:
-    """All partitions of n items into at most max_groups unlabeled blocks.
+    """All partitions of n <= 16 items into at most max_groups unlabeled blocks.
 
     Row r holds the bit masks of partition r's blocks, 0 for an unused
     block.  The rows are the restricted growth strings in lexicographic
     order, grown one item at a time: a string using u labels gives item i
     each label below min(u + 1, max_groups).
     """
-    blocks = np.zeros((1, max_groups), dtype=np.intp)
+    blocks = np.zeros((1, max_groups), dtype=np.uint16)
     used = np.zeros(1, dtype=np.intp)
     for i in range(n):
         fan = np.minimum(used + 1, max_groups)
@@ -255,6 +254,16 @@ def _set_partitions(n: int, max_groups: int) -> np.ndarray:
     return blocks
 
 
+@lru_cache(maxsize=None)
+def _block_events(n: int, k: int) -> np.ndarray:
+    """Read-only mask over the 2^n events: True at each block of a row of
+    _set_partitions(n, k), so entry 0 stands for an unused block."""
+    mask = np.zeros(1 << n, dtype=bool)
+    mask[_set_partitions(n, k)] = True
+    mask.setflags(write=False)
+    return mask
+
+
 def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) -> float:
     """Max shattering value over every total grouping of E into max_groups
     classes.
@@ -265,8 +274,8 @@ def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) ->
     is a certified lower bound on pml, and equals pml once max_groups
     reaches the alphabet size (singleton grouping available).
 
-    Each grouping's blocks are looked up by bit mask in the table of event
-    ratios; an unused block is the empty event, whose 0/0 reads 1.
+    Each outcome takes its largest event ratio among the groupings' blocks
+    (_block_events); an unused block is the empty event, whose 0/0 reads 1.
     """
     n = model.input_alphabet.size
     if n > FUNCTION_ALPHABET_CAP:
@@ -278,7 +287,7 @@ def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) ->
         raise ValidationError("max_groups must be a positive integer")
     _require_positive_outcome(model, y)
     ratios = _event_ratios(model, y)
-    return math.log(max(1.0, float(ratios[_set_partitions(n, min(max_groups, n))].max())))
+    return math.log(max(1.0, float(ratios[_block_events(n, min(max_groups, n))].max())))
 
 
 @lru_cache(maxsize=None)

@@ -319,6 +319,23 @@ def test_unnormalized_posterior_gives_one_reason_on_every_route(skew, reason):
         assert str(exc.value) == f"posterior at outcome 'rare': {direct.value}"
 
 
+def test_posterior_overflow_names_the_cached_marginal():
+    # The true P_Y(1) is 5e-14, so a cached 5e-324 passes the 1e-12 check;
+    # Bayes' division then overflows, and every route gives one reason.
+    a = Alphabet(["x0", "x1"])
+    b = Alphabet([0, 1])
+    channel = DiscreteChannel(a, b, np.array([[1.0, 0.0], [1 - 1e-13, 1e-13]]))
+    model = JointModel(uniform(a), channel, DiscreteDistribution(b, np.array([1.0, 5e-324])))
+    routes = (posterior, pml, lambda m, y: leakage_profile(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in routes:
+            with pytest.raises(ValidationError) as exc:
+                route(model, 1)
+            assert str(exc.value) == "posterior at outcome 1 overflows: cached P_Y is 5e-324"
+        assert pml(model, 0).nats == 0.0
+
+
 def test_aggregates_of_an_infinite_leakage_are_infinite():
     a = Alphabet([0, 1])
     profile = LeakageProfile(a, [math.inf, 0.3], DiscreteDistribution(a, np.array([0.5, 0.5])))

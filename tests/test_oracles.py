@@ -29,7 +29,7 @@ from pmlkit import (
 )
 from pmlkit.errors import CapacityError, ValidationError
 from pmlkit import oracles
-from pmlkit.oracles import _set_partitions, _simplex_grid
+from pmlkit.oracles import _block_events, _set_partitions, _simplex_grid
 from conftest import random_full_support_model, random_model_with_zeros
 
 
@@ -547,6 +547,19 @@ class TestArrayEnumerationAgainstReferences:
                 masks[np.arange(len(strings)), strings[:, i]] |= 1 << i
             assert sorted(map(tuple, masks)) == sorted(map(tuple, _set_partitions(n, k)))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_block_events_are_the_reference_blocks(self, n):
+        bits = 1 << np.arange(n)
+        for k in range(1, n + 1):
+            strings = np.concatenate(_reference_set_partitions(n, k))
+            expected = np.zeros(1 << n, dtype=bool)
+            for g in range(k):  # a label a string leaves unused marks the empty event
+                expected[((strings == g) * bits).sum(axis=1)] = True
+            mask = _block_events(n, k)
+            assert np.array_equal(mask, expected)
+            assert expected[0] == (k > 1)
+            assert not mask.flags.writeable
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @pytest.mark.parametrize("resolution", [1, 7, 50])
     def test_simplex_grid_rows_in_generator_order(self, dim, resolution):
@@ -603,3 +616,22 @@ def test_function_oracle_covers_every_map_to_k_labels():
             )
             got = randomized_function_oracle(model, y, k)
             assert got == pytest.approx(max(best, 0.0), rel=1e-15, abs=0.0)
+
+
+def test_binary_functions_suffice():
+    # Every non-empty event is a block of the grouping {A, E \ A} (or of the
+    # one-block grouping), so with two groups or more the function oracle is
+    # the subset oracle, clamped at 0, bit for bit.
+    models = list(_seeded_models(151, 60, 9))
+    assert any((m.prior.probs == 0).any() for m in models if m.input_alphabet.size >= 2)
+    cases = 0
+    for model in models:
+        n = model.input_alphabet.size
+        if n < 2:
+            continue
+        for y in _outcomes(model):
+            expected = max(0.0, subset_oracle(model, y))
+            for k in range(2, n + 2):
+                assert randomized_function_oracle(model, y, k) == expected
+                cases += 1
+    assert cases > 500
