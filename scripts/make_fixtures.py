@@ -16,6 +16,8 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -62,7 +64,6 @@ def cap_model():
     """A full-support model at the function oracle's input cap (10 inputs, 8
     outcomes), from integer weights: the prior's are 1 to 10, and row i of
     the channel weighs outcome j by 1 + ((i + 1)(j + 2) mod 11), from 2 to 11."""
-    import numpy as np
     from pmlkit import Alphabet, DiscreteChannel, DiscreteDistribution, JointModel
     from pmlkit.oracles import FUNCTION_ALPHABET_CAP
 
