@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Replay a fixed list of ``pmlkit verify`` requests in two checkouts and
+report every request whose exit code, stdout or stderr differ.
+
+    python3 scripts/compare_cli.py PARENT CHANGE
+
+PARENT and CHANGE are the roots of two pmlkit checkouts.  Each request runs
+as ``python -m pmlkit.cli`` in a fresh interpreter with that checkout's
+``src/`` first on the path, from one temporary directory holding the
+inputs, so both sides read the same files under the same names.  The inputs
+are the model fixtures of CHANGE plus seeded Dirichlet models (the shapes
+the benchmark's ``verify_mix`` uses, and one with zero-prior atoms and
+outcomes no input produces).  Every oracle runs on every input with the
+option values below, so capacity and validation refusals are compared too.
+
+Exits 0 when every request matches and 1 otherwise.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+FIXTURES = ("cap10x8.json", "poisson_binomial_lam2_p05.json", "identity4.json",
+            "geometric_binary_p03_q05.json", "bad_rowsum.json")
+CSV_PAIR = ("identity4_channel.csv", "identity4_prior.csv")
+#: (inputs, outputs) of the seeded full-support models
+SHAPES = ((10, 8), (12, 6), (16, 7), (20, 8))
+OPTIONS = (
+    ["--oracle", "subset"],
+    ["--oracle", "subset", "--units", "bits"],
+    ["--oracle", "partition", "--eps", "0.01"],
+    ["--oracle", "partition", "--eps", "0.05"],
+    *(["--oracle", "functions", "--max-groups", k] for k in ("0", "1", "2", "4", "5", "10", "-3")),
+    *(["--oracle", "strategies", "--gains", "6", "--resolution", r] for r in ("10", "20", "30")),
+    ["--oracle", "strategies"],
+)
+
+
+def _write_model(path: Path, prior: np.ndarray, channel: np.ndarray) -> None:
+    doc = {"alphabet_x": list(range(len(prior))), "alphabet_y": list(range(channel.shape[1])),
+           "prior": prior.tolist(), "channel": channel.tolist()}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def write_inputs(change: Path, directory: Path) -> list:
+    """Write every input into ``directory``; return one argv prefix per input."""
+    for name in FIXTURES + CSV_PAIR:
+        shutil.copyfile(change / "fixtures" / name, directory / name)
+    inputs = [[name] for name in FIXTURES] + [list(CSV_PAIR)]
+    rng = np.random.default_rng(20231)
+    for n, m in SHAPES:
+        name = f"dirichlet{n}x{m}.json"
+        _write_model(directory / name, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m), n))
+        inputs.append([name])
+    prior = rng.dirichlet(np.ones(9))
+    prior[[2, 5]] = 0.0
+    channel = rng.dirichlet(np.ones(6), 9)
+    channel[:, 4] = 0.0  # an outcome no input produces
+    channel[rng.random(channel.shape) < 0.3] = 0.0
+    channel[:, 0] += 0.01
+    _write_model(directory / "zeros9x6.json", prior / prior.sum(),
+                 channel / channel.sum(axis=1, keepdims=True))
+    inputs.append(["zeros9x6.json"])
+    return inputs
+
+
+def _start(checkout: Path, argv: list, cwd: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen([sys.executable, "-m", "pmlkit.cli", *argv], cwd=cwd, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _finish(proc: subprocess.Popen) -> tuple:
+    out, err = proc.communicate()
+    return proc.returncode, out, err
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print("usage: compare_cli.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    for root in (parent, change):
+        if not (root / "src" / "pmlkit" / "cli.py").is_file():
+            print(f"{root} is not a pmlkit checkout (no src/pmlkit/cli.py)", file=sys.stderr)
+            return 2
+    codes = Counter()
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        requests = [["verify", *model, *options]
+                    for model in write_inputs(change, directory) for options in OPTIONS]
+        for request in requests:
+            # both sides of a request run side by side, one process each
+            running = [_start(root, request, directory) for root in (parent, change)]
+            before, after = (_finish(proc) for proc in running)
+            codes[after[0]] += 1
+            diffs = [what for what, a, b in zip(("exit code", "stdout", "stderr"), before, after)
+                     if a != b]
+            if diffs:
+                differ += 1
+                print(f"{' '.join(request)}: {', '.join(diffs)} differ "
+                      f"(exit {before[0]} -> {after[0]})")
+    tally = ", ".join(f"{n} exit {code}" for code, n in sorted(codes.items()))
+    print(f"{len(requests)} verify argv, {differ} differ; change side: {tally}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -35,6 +35,9 @@ from .errors import ValidationError
 from .leakage import LeakageProfile, maximal_leakage, mean_leakage
 
 PathLike = Union[str, Path]
+#: the JSON type of each type json.load returns
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "number",
+               float: "number", type(None): "null"}
 
 
 def _symbol(raw):
@@ -66,15 +69,25 @@ def load_model_json(path: PathLike) -> JointModel:
             raise ValidationError(
                 f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+    if type(doc) is not dict:
+        got = _JSON_TYPES[type(doc)]
+        raise ValidationError(f"{path}: a model must be a JSON object, got a JSON {got}")
     missing = {"alphabet_x", "alphabet_y", "prior", "channel"} - set(doc)
     if missing:
         raise ValidationError(f"{path}: missing keys {sorted(missing)}")
+    deficit = doc.get("truncation_deficit", 0.0)
+    for key, value, want in (("alphabet_x", doc["alphabet_x"], "array"),
+                             ("alphabet_y", doc["alphabet_y"], "array"),
+                             ("truncation_deficit", deficit, "number")):
+        got = _JSON_TYPES[type(value)]
+        if got != want:
+            raise ValidationError(f"{path}: {key} must be a JSON {want}, got a JSON {got}")
     alphabet_x = Alphabet([_symbol(s) for s in doc["alphabet_x"]])
     alphabet_y = Alphabet([_symbol(s) for s in doc["alphabet_y"]])
     prior = DiscreteDistribution(
         alphabet_x,
         np.asarray(doc["prior"], dtype=float),
-        float(doc.get("truncation_deficit", 0.0)),
+        float(deficit),
     )
     channel = DiscreteChannel(
         alphabet_x,

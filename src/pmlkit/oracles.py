@@ -23,6 +23,7 @@ import numpy as np
 from .distributions import (
     Alphabet,
     DiscreteChannel,
+    DiscreteDistribution,
     JointModel,
     Symbol,
     posterior,
@@ -35,7 +36,7 @@ from .errors import (
 
 #: largest input alphabet for subset enumeration (2^n events)
 SUBSET_CAP = 20
-#: largest input alphabet for the function adversary (Bell(10) = 115,975 groupings)
+#: largest input alphabet for the function adversary, which scores its 2^n events
 FUNCTION_ALPHABET_CAP = 10
 #: largest estimate alphabet / resolution for simplex enumeration
 STRATEGY_ALPHABET_CAP = 4
@@ -67,6 +68,23 @@ class GainFunction:
         return probs @ self.gains
 
 
+#: the last model seen by _posterior: (model, {outcome: its posterior})
+_posterior_memo: tuple = (None, {})
+
+
+def _posterior(model: JointModel, y: Symbol) -> DiscreteDistribution:
+    """posterior(model, y), built and law-checked once per (model, y): a
+    one-entry memo keyed on the identity of the model, which it holds, so no
+    other model can take that identity."""
+    global _posterior_memo
+    if _posterior_memo[0] is not model:
+        _posterior_memo = (model, {})
+    cache = _posterior_memo[1]
+    if y not in cache:
+        cache[y] = posterior(model, y)
+    return cache[y]
+
+
 def _require_positive_outcome(model: JointModel, y: Symbol) -> None:
     if model.marginal.prob(y) <= 0.0:
         raise ValidationError(f"outcome {y!r} has zero probability")
@@ -83,7 +101,7 @@ def gain_ratio(model: JointModel, y: Symbol, g: GainFunction) -> float:
     if g.x_alphabet.symbols != model.input_alphabet.symbols:
         raise AlphabetMismatchError("gain function secret alphabet does not match model")
     _require_positive_outcome(model, y)
-    num = float(np.max(g.expected_gain(posterior(model, y).probs)))
+    num = float(np.max(g.expected_gain(_posterior(model, y).probs)))
     den = float(np.max(g.expected_gain(model.prior.probs)))
     if den == 0.0:
         return math.inf if num > 0.0 else 1.0
@@ -134,7 +152,7 @@ def _event_ratios(model: JointModel, y: Symbol) -> np.ndarray:
     Bayes inversion gives a null event no posterior mass, so its 0/0 reads
     1, as in _set_ratios; no other event divides by zero.
     """
-    ratios = _subset_sums(posterior(model, y).probs)
+    ratios = _subset_sums(_posterior(model, y).probs)
     prior_sums, null = _prior_events(model.prior.probs)
     with np.errstate(invalid="ignore"):
         np.divide(ratios, prior_sums, out=ratios)
@@ -185,7 +203,7 @@ def build_partition_gain(model: JointModel, y: Symbol, epsilon: float) -> Partit
     if not 0 < epsilon < math.inf:
         raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
     _require_positive_outcome(model, y)
-    post = posterior(model, y).probs
+    post = _posterior(model, y).probs
     prior = model.prior.probs
     cells: Dict[float, list] = {}
     for i, x in enumerate(model.input_alphabet.symbols):
@@ -221,7 +239,7 @@ def shattering_value(
         raise ValidationError(f"grouping is not total on E; missing {missing[:3]!r}")
     groups = sorted({grouping[x] for x in model.input_alphabet}, key=repr)
     index = {g: i for i, g in enumerate(groups)}
-    post = posterior(model, y).probs
+    post = _posterior(model, y).probs
     prior = model.prior.probs
     post_w = np.zeros(len(groups))
     prior_w = np.zeros(len(groups))
@@ -233,49 +251,16 @@ def shattering_value(
     return math.log(float(_set_ratios(post_w, prior_w).max()))
 
 
-def _set_partitions(n: int, max_groups: int) -> np.ndarray:
-    """All partitions of n <= 16 items into at most max_groups unlabeled blocks.
-
-    Row r holds the bit masks of partition r's blocks, 0 for an unused
-    block.  The rows are the restricted growth strings in lexicographic
-    order, grown one item at a time: a string using u labels gives item i
-    each label below min(u + 1, max_groups).
-    """
-    blocks = np.zeros((1, max_groups), dtype=np.uint16)
-    used = np.zeros(1, dtype=np.intp)
-    for i in range(n):
-        fan = np.minimum(used + 1, max_groups)
-        parent = np.repeat(np.arange(len(used)), fan)
-        label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
-        blocks = blocks[parent]
-        blocks[np.arange(len(parent)), label] |= 1 << i
-        used = np.maximum(used[parent], label + 1)
-    blocks.setflags(write=False)
-    return blocks
-
-
-@lru_cache(maxsize=None)
-def _block_events(n: int, k: int) -> np.ndarray:
-    """Read-only mask over the 2^n events: True at each block of a row of
-    _set_partitions(n, k), so entry 0 stands for an unused block."""
-    mask = np.zeros(1 << n, dtype=bool)
-    mask[_set_partitions(n, k)] = True
-    mask.setflags(write=False)
-    return mask
-
-
 def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) -> float:
-    """Max shattering value over every total grouping of E into max_groups
-    classes.
+    """Max shattering value over every total grouping of E into at most
+    max_groups classes: a lower bound on pml, equal to it up to rounding
+    once max_groups reaches 2.
 
-    Groupings are enumerated as canonical set partitions (labels up to
-    relabeling), which covers every map E -> [max_groups] since the
-    shattering value only depends on the induced partition.  The result
-    is a certified lower bound on pml, and equals pml once max_groups
-    reaches the alphabet size (singleton grouping available).
-
-    Each outcome takes its largest event ratio among the groupings' blocks
-    (_block_events); an unused block is the empty event, whose 0/0 reads 1.
+    Scored by the binary-function reduction of arXiv 2304.07722: guessing a
+    k-valued function of X never beats guessing the indicator of its best
+    block, and for k >= 2 every non-empty event A is a block of the grouping
+    {A, E \\ A}.  So the value is the largest event ratio, at least 1 (the
+    empty event's 0/0 reads 1); with k = 1 the only grouping is {E}.
     """
     n = model.input_alphabet.size
     if n > FUNCTION_ALPHABET_CAP:
@@ -287,7 +272,8 @@ def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) ->
         raise ValidationError("max_groups must be a positive integer")
     _require_positive_outcome(model, y)
     ratios = _event_ratios(model, y)
-    return math.log(max(1.0, float(ratios[_block_events(n, min(max_groups, n))].max())))
+    best = ratios.max() if min(max_groups, n) >= 2 else ratios[-1]
+    return math.log(max(1.0, float(best)))
 
 
 @lru_cache(maxsize=None)
@@ -324,7 +310,7 @@ def randomized_strategy_check(
             f"simplex resolution must lie in [1, {STRATEGY_RESOLUTION_CAP}]"
         )
     _require_positive_outcome(model, y)
-    pure = g.expected_gain(posterior(model, y).probs)
+    pure = g.expected_gain(_posterior(model, y).probs)
     grid = _simplex_grid(g.estimate_alphabet.size, grid_resolution)
     return not np.any(grid @ pure > float(pure.max()) + 1e-12)
 

@@ -5,8 +5,10 @@ import pytest
 from scipy import stats
 
 from pmlkit import (
+    Alphabet,
     ClosedFormModel,
     DensityModel,
+    DiscreteDistribution,
     GridSpec,
     discretize_poisson_binomial,
     integrability_probe,
@@ -15,7 +17,9 @@ from pmlkit import (
     pml_closed_form,
     pml_density,
     posterior,
+    renyi_inf,
     to_density_model,
+    uniform,
 )
 from pmlkit.continuous import MAX_QUANTILE_CLIP, _norm_isf, _norm_pdf
 from pmlkit.errors import (
@@ -75,6 +79,21 @@ def test_mixture_midpoint_and_limit():
     assert mixture_limit_check(1.0, 0.5) == pytest.approx(math.log(2))
     gaps = [mixture_limit_check(1.0, y) for y in (0.6, 1.0, 3.0, 10.0)]
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+
+
+def test_mixture_closed_form_is_the_uniform_bit_leakage():
+    # The family is a uniform bit X with Y | X ~ N(X, sigma^2).  Its two-atom
+    # posterior, from the likelihoods by Bayes' rule, against the uniform
+    # prior is a discrete route that shares no algebra with the closed form.
+    rng = np.random.default_rng(173)
+    bit = Alphabet([0, 1])
+    prior = uniform(bit)
+    for sigma, y in zip(rng.uniform(0.2, 5.0, 2000), rng.uniform(-5.0, 6.0, 2000)):
+        likelihood = np.exp(-((y - np.array([0.0, 1.0])) ** 2) / (2.0 * sigma**2))
+        post = DiscreteDistribution(bit, likelihood / likelihood.sum())
+        model = ClosedFormModel("gaussian_mixture", {"sigma": float(sigma)})
+        closed = pml_closed_form(model, float(y)).nats
+        assert renyi_inf(post, prior).nats == pytest.approx(closed, rel=0.0, abs=1e-15)
 
 
 def test_poisson_binomial_closed_form_value():

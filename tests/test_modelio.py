@@ -13,6 +13,7 @@ from pmlkit import (
     geometric_binary_model,
     leakage_profile,
 )
+from pmlkit.cli import main
 from pmlkit.errors import ValidationError
 from pmlkit.modelio import (
     jsonable,
@@ -149,3 +150,37 @@ def test_row_deficits_length_checked(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="row_deficits"):
         load_model_json(path)
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        (5, "a model must be a JSON object, got a JSON number"),
+        (None, "a model must be a JSON object, got a JSON null"),
+        ({"alphabet_x": 5}, "alphabet_x must be a JSON array, got a JSON number"),
+        ({"alphabet_x": "ab"}, "alphabet_x must be a JSON array, got a JSON string"),
+        ({"alphabet_y": {"a": 0, "b": 1}}, "alphabet_y must be a JSON array, got a JSON object"),
+        ({"truncation_deficit": None},
+         "truncation_deficit must be a JSON number, got a JSON null"),
+        ({"truncation_deficit": [0]},
+         "truncation_deficit must be a JSON number, got a JSON array"),
+        ({"truncation_deficit": "0"},
+         "truncation_deficit must be a JSON number, got a JSON string"),
+        ({"truncation_deficit": False},
+         "truncation_deficit must be a JSON number, got a JSON boolean"),
+    ],
+    ids=["top_number", "top_null", "alphabet_number", "alphabet_string", "alphabet_object",
+         "deficit_null", "deficit_array", "deficit_string", "deficit_bool"],
+)
+def test_model_shapes_rejected_by_name(tmp_path, capsys, doc, reason):
+    # Each of these used to end in a TypeError traceback or be read as some
+    # other model (a string as its characters, an object as its keys).
+    if isinstance(doc, dict):
+        doc = {"alphabet_x": ["a", "b"], "alphabet_y": [0, 1], "prior": [0.5, 0.5],
+               "channel": [[1.0, 0.0], [0.0, 1.0]], **doc}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pmlkit: validation error: {path}: {reason}\n"

@@ -28,8 +28,9 @@ from pmlkit import (
     uniform,
 )
 from pmlkit.errors import CapacityError, ValidationError
-from pmlkit import oracles
-from pmlkit.oracles import _block_events, _set_partitions, _simplex_grid
+from pmlkit import cli, distributions, oracles
+from pmlkit.modelio import save_model_json
+from pmlkit.oracles import _simplex_grid
 from conftest import random_full_support_model, random_model_with_zeros
 
 
@@ -380,6 +381,27 @@ def _reference_set_partitions(n, max_groups):
     return tuple(np.array(b, dtype=np.intp) for b in buckets if b)
 
 
+def _set_partitions(n, max_groups):
+    """All partitions of n <= 16 items into at most max_groups unlabeled blocks.
+
+    Row r holds the bit masks of partition r's blocks, 0 for an unused
+    block.  The rows are the restricted growth strings in lexicographic
+    order, grown one item at a time: a string using u labels gives item i
+    each label below min(u + 1, max_groups).
+    """
+    blocks = np.zeros((1, max_groups), dtype=np.uint16)
+    used = np.zeros(1, dtype=np.intp)
+    for i in range(n):
+        fan = np.minimum(used + 1, max_groups)
+        parent = np.repeat(np.arange(len(used)), fan)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        blocks = blocks[parent]
+        blocks[np.arange(len(parent)), label] |= 1 << i
+        used = np.maximum(used[parent], label + 1)
+    blocks.setflags(write=False)
+    return blocks
+
+
 def _count_partitions(n, max_groups):
     """Restricted Bell number via the Stirling triangle."""
     row = [1]  # partitions of 1 element into exactly j+1 blocks
@@ -547,18 +569,21 @@ class TestArrayEnumerationAgainstReferences:
                 masks[np.arange(len(strings)), strings[:, i]] |= 1 << i
             assert sorted(map(tuple, masks)) == sorted(map(tuple, _set_partitions(n, k)))
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_block_events_are_the_reference_blocks(self, n):
+        # The rule randomized_function_oracle scores by: with k >= 2 groups
+        # every event is a block of some grouping, and with one group only
+        # the full event is.  A label a string leaves unused marks the empty
+        # event, whose ratio 0/0 reads 1 like the oracle's clamp.
         bits = 1 << np.arange(n)
+        events = np.arange(1 << n)
         for k in range(1, n + 1):
             strings = np.concatenate(_reference_set_partitions(n, k))
             expected = np.zeros(1 << n, dtype=bool)
-            for g in range(k):  # a label a string leaves unused marks the empty event
+            for g in range(k):
                 expected[((strings == g) * bits).sum(axis=1)] = True
-            mask = _block_events(n, k)
-            assert np.array_equal(mask, expected)
-            assert expected[0] == (k > 1)
-            assert not mask.flags.writeable
+            rule = events >= 0 if k >= 2 else events == events[-1]
+            assert np.array_equal(expected, rule)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @pytest.mark.parametrize("resolution", [1, 7, 50])
@@ -599,6 +624,62 @@ class TestPriorEventMemo:
                 oracles._subset_sums(model.prior.probs),
             )
             assert np.array_equal(oracles._event_ratios(model, y), masked)
+
+
+class TestPosteriorMemo:
+    """Oracles share one posterior per (model, outcome); no call may read the
+    posterior of another model."""
+
+    @staticmethod
+    def _every_oracle(model, y):
+        rng = np.random.default_rng(157)
+        n = model.input_alphabet.size
+        g = GainFunction(model.input_alphabet, Alphabet([0, 1, 2]), rng.uniform(size=(n, 3)))
+        halves = dict(zip(model.input_alphabet.symbols, [i % 2 for i in range(n)]))
+        return (
+            subset_oracle(model, y),
+            partition_oracle(model, y, 0.05),
+            build_partition_gain(model, y, 0.01).cells,
+            shattering_value(model, y, halves),
+            gain_ratio(model, y, g),
+            randomized_strategy_check(model, y, g, 7),
+            tuple(randomized_function_oracle(model, y, k) for k in (1, 2, n)),
+        )
+
+    def test_alternating_models_never_see_a_stale_posterior(self, monkeypatch):
+        # Both models label their outcomes 0, 1, ..., so a memo keyed on the
+        # outcome alone would serve the first model's posteriors to the second.
+        full = random_model_with_zeros(np.random.default_rng(163), 6, 3)
+        full = JointModel(uniform(full.input_alphabet), full.channel)
+        zeros = random_model_with_zeros(np.random.default_rng(137), 6, 4)
+        assert (full.prior.probs > 0).all() and (zeros.prior.probs == 0).any()
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "_posterior", posterior)
+            expected = {id(model): [self._every_oracle(model, y) for y in _outcomes(model)]
+                        for model in (full, zeros)}
+        for model in (full, zeros, full):
+            for y, want in zip(_outcomes(model), expected[id(model)]):
+                assert self._every_oracle(model, y) == want
+                assert oracles._posterior_memo[0] is model
+                assert oracles._posterior(model, y) is oracles._posterior_memo[1][y]
+
+    def test_strategies_build_one_posterior_per_outcome(self, tmp_path, monkeypatch, capsys):
+        model = random_full_support_model(np.random.default_rng(167), 12, 6)
+        path = tmp_path / "model.json"
+        save_model_json(model, path)
+        built = []
+        original = distributions.DiscreteDistribution.__post_init__
+
+        def counting(self):
+            original(self)
+            built.append(self.alphabet.size)
+
+        monkeypatch.setattr(distributions.DiscreteDistribution, "__post_init__", counting)
+        argv = ["verify", str(path), "--oracle", "strategies", "--gains", "6"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        # the prior is the one other law over the 12 inputs
+        assert built.count(12) - 1 <= 6
 
 
 def test_function_oracle_covers_every_map_to_k_labels():
