@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Replay a fixed list of ``pmlkit verify`` requests in two checkouts and
-report every request whose exit code, stdout or stderr differ.
+"""Replay a fixed list of ``pmlkit verify``, ``compute`` and ``tail`` requests
+in two checkouts and report every request whose exit code, stdout or stderr
+differ.
 
     python3 scripts/compare_cli.py PARENT CHANGE
 
@@ -12,6 +13,10 @@ are the model fixtures of CHANGE plus seeded Dirichlet models (the shapes
 the benchmark's ``verify_mix`` uses, and one with zero-prior atoms and
 outcomes no input produces).  Every oracle runs on every input with the
 option values below, so capacity and validation refusals are compared too.
+``compute`` and ``tail`` run with their options below on the fixtures, the
+CSV pair, the model with zero-prior atoms and two seeded wide models
+(16 and 64 inputs by 2000 outcomes), whose reports carry one float per
+outcome.
 
 Exits 0 when every request matches and 1 otherwise.
 """
@@ -41,6 +46,16 @@ OPTIONS = (
     *(["--oracle", "strategies", "--gains", "6", "--resolution", r] for r in ("10", "20", "30")),
     ["--oracle", "strategies"],
 )
+#: (inputs, outputs) of the seeded wide models, which only compute and tail read
+WIDE_SHAPES = ((16, 2000), (64, 2000))
+#: each outcome option names an outcome of some inputs and of no other
+REPORT_OPTIONS = (
+    *(["compute", *options] for options in (
+        [], ["--format", "csv"], ["--units", "bits"],
+        *(["--outcome", y] for y in ("1", "b", "y1")))),
+    *(["tail", "--eps", "0.1", "--eps", "0.5", "--eps", "inf", *options] for options in (
+        [], ["--format", "csv"], ["--units", "bits"], ["--units", "bits", "--format", "csv"])),
+)
 
 
 def _write_model(path: Path, prior: np.ndarray, channel: np.ndarray) -> None:
@@ -49,8 +64,9 @@ def _write_model(path: Path, prior: np.ndarray, channel: np.ndarray) -> None:
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
-def write_inputs(change: Path, directory: Path) -> list:
-    """Write every input into ``directory``; return one argv prefix per input."""
+def write_inputs(change: Path, directory: Path) -> tuple:
+    """Write every input into ``directory``; return one argv prefix per input,
+    for ``verify`` and for ``compute`` and ``tail``."""
     for name in FIXTURES + CSV_PAIR:
         shutil.copyfile(change / "fixtures" / name, directory / name)
     inputs = [[name] for name in FIXTURES] + [list(CSV_PAIR)]
@@ -68,7 +84,12 @@ def write_inputs(change: Path, directory: Path) -> list:
     _write_model(directory / "zeros9x6.json", prior / prior.sum(),
                  channel / channel.sum(axis=1, keepdims=True))
     inputs.append(["zeros9x6.json"])
-    return inputs
+    wide = []
+    for n, m in WIDE_SHAPES:
+        name = f"wide{n}x{m}.json"
+        _write_model(directory / name, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m), n))
+        wide.append([name])
+    return inputs, [[name] for name in FIXTURES] + [list(CSV_PAIR), ["zeros9x6.json"], *wide]
 
 
 def _start(checkout: Path, argv: list, cwd: Path) -> subprocess.Popen:
@@ -95,8 +116,11 @@ def main(argv: list) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
+        verify_inputs, report_inputs = write_inputs(change, directory)
         requests = [["verify", *model, *options]
-                    for model in write_inputs(change, directory) for options in OPTIONS]
+                    for model in verify_inputs for options in OPTIONS]
+        requests += [[command, *model, *options]
+                     for model in report_inputs for command, *options in REPORT_OPTIONS]
         for request in requests:
             # both sides of a request run side by side, one process each
             running = [_start(root, request, directory) for root in (parent, change)]
@@ -109,7 +133,9 @@ def main(argv: list) -> int:
                 print(f"{' '.join(request)}: {', '.join(diffs)} differ "
                       f"(exit {before[0]} -> {after[0]})")
     tally = ", ".join(f"{n} exit {code}" for code, n in sorted(codes.items()))
-    print(f"{len(requests)} verify argv, {differ} differ; change side: {tally}")
+    per_command = Counter(request[0] for request in requests)
+    commands = ", ".join(f"{n} {command}" for command, n in per_command.items())
+    print(f"{len(requests)} argv ({commands}), {differ} differ; change side: {tally}")
     return 1 if differ else 0
 
 

@@ -37,7 +37,7 @@ MAX_DEFICIT = 1e-9
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=float).copy()
+    out = np.array(arr, dtype=float)  # a copy even of a float array, so callers keep theirs
     out.setflags(write=False)
     return out
 

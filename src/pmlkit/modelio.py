@@ -51,6 +51,12 @@ def _symbol(raw):
     raise ValidationError(f"symbols must be strings or integers, got {raw!r}")
 
 
+def _overflows(value) -> bool:
+    """Whether a parsed JSON value holds an integer that rounds beyond the float range."""
+    return (any(map(_overflows, value)) if type(value) is list
+            else type(value) is int and abs(value) >= 2**1024 - 2**970)
+
+
 def _parse_float(text: str, where: str) -> float:
     try:
         value = float(text)
@@ -82,19 +88,22 @@ def load_model_json(path: PathLike) -> JointModel:
         got = _JSON_TYPES[type(value)]
         if got != want:
             raise ValidationError(f"{path}: {key} must be a JSON {want}, got a JSON {got}")
-    alphabet_x = Alphabet([_symbol(s) for s in doc["alphabet_x"]])
-    alphabet_y = Alphabet([_symbol(s) for s in doc["alphabet_y"]])
-    prior = DiscreteDistribution(
-        alphabet_x,
-        np.asarray(doc["prior"], dtype=float),
-        float(deficit),
-    )
-    channel = DiscreteChannel(
-        alphabet_x,
-        alphabet_y,
-        np.asarray(doc["channel"], dtype=float),
-        doc.get("row_deficits"),
-    )
+    alphabet_x, alphabet_y = (  # _symbol keeps ints and strings as they are
+        Alphabet(raw if set(map(type, raw)) <= {int, str} else map(_symbol, raw))
+        for raw in (doc["alphabet_x"], doc["alphabet_y"]))
+    for key in ("prior", "row_deficits"):  # |X| entries each, so checking every type is cheap
+        value = doc.get(key)
+        wrong = [v for v in value if type(v) in (bool, str)] if type(value) is list else ()
+        if wrong:
+            got = _JSON_TYPES[type(wrong[0])]
+            raise ValidationError(f"{path}: {key} entries must be JSON numbers, got a JSON {got}")
+    try:  # the constructors convert each parsed list to its one float array
+        prior = DiscreteDistribution(alphabet_x, doc["prior"], deficit)
+        channel = DiscreteChannel(alphabet_x, alphabet_y, doc["channel"], doc.get("row_deficits"))
+    except OverflowError:  # the conversions run in this key order
+        key = next(k for k in ("prior", "truncation_deficit", "channel", "row_deficits")
+                   if _overflows(doc.get(k)))
+        raise ValidationError(f"{path}: {key} holds an integer beyond the float range") from None
     return JointModel(prior, channel)
 
 
@@ -123,7 +132,7 @@ def load_prior_csv(path: PathLike) -> DiscreteDistribution:
                 )
             symbols.append(_symbol_from_text(row[0].strip()))
             probs.append(_parse_float(row[1].strip(), f"{path}: line {lineno}"))
-    return DiscreteDistribution(Alphabet(symbols), np.asarray(probs))
+    return DiscreteDistribution(Alphabet(symbols), probs)
 
 
 def _symbol_from_text(text: str):
@@ -150,7 +159,7 @@ def load_channel_csv(path: PathLike, input_alphabet: Alphabet) -> DiscreteChanne
         raise ValidationError(
             f"{path}: {len(matrix)} channel rows for {input_alphabet.size} prior symbols"
         )
-    return DiscreteChannel(input_alphabet, output_alphabet, np.asarray(matrix))
+    return DiscreteChannel(input_alphabet, output_alphabet, matrix)
 
 
 def load_model(channel_path: PathLike, prior_path: PathLike = None) -> JointModel:
@@ -165,24 +174,10 @@ def load_model(channel_path: PathLike, prior_path: PathLike = None) -> JointMode
     return JointModel(prior, channel)
 
 
-def jsonable(value):
-    """Make a value JSON-serializable, spelling infinities as 'inf'."""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
-
-
 def profile_document(profile: LeakageProfile, units: str = "nats") -> dict:
     """Machine-readable leakage profile export.
 
-    Values are plain floats; ``jsonable`` spells any infinity when the
-    report is written.
+    Values are plain floats; the report writer spells any infinity.
     """
     return {
         "units": units,

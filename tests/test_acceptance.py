@@ -35,7 +35,7 @@ from pmlkit import (
     to_density_model,
 )
 from pmlkit import absolute_continuity_witness, discretize_poisson_binomial
-from pmlkit.modelio import jsonable
+from pmlkit import cli
 from conftest import random_full_support_model
 
 
@@ -217,5 +217,5 @@ def test_criterion_9_non_absolute_continuity():
     value = renyi_inf(post, prior)
     assert value.is_infinite
     assert absolute_continuity_witness(post, prior) == "b"
-    assert jsonable(value.nats) == "inf"
+    assert cli._json({"leakage": value.nats}) == '{\n  "leakage": "inf"\n}\n'
     announce(9, "prior-null atom: infinite leakage, witness, 'inf' format", started)

@@ -16,7 +16,6 @@ from pmlkit import (
 from pmlkit.cli import main
 from pmlkit.errors import ValidationError
 from pmlkit.modelio import (
-    jsonable,
     load_model,
     load_model_json,
     profile_document,
@@ -94,12 +93,6 @@ def test_csv_row_count_mismatch(tmp_path):
         load_model(channel, prior)
 
 
-def test_jsonable_spells_infinity():
-    doc = jsonable({"a": math.inf, "b": [1.0, -math.inf], "c": "inf"})
-    assert doc == {"a": "inf", "b": [1.0, "-inf"], "c": "inf"}
-    json.dumps(doc)  # remains serializable
-
-
 def test_profile_document_units():
     profile = leakage_profile(geometric_binary_model(0.3, 0.5))
     nats = profile_document(profile, "nats")
@@ -168,13 +161,34 @@ def test_row_deficits_length_checked(tmp_path):
          "truncation_deficit must be a JSON number, got a JSON string"),
         ({"truncation_deficit": False},
          "truncation_deficit must be a JSON number, got a JSON boolean"),
+        ({"prior": [10**400, 0]}, "prior holds an integer beyond the float range"),
+        ({"truncation_deficit": -10**400},
+         "truncation_deficit holds an integer beyond the float range"),
+        ({"channel": [[1.0, 0.0], [0, 10**400]]},
+         "channel holds an integer beyond the float range"),
+        ({"row_deficits": [0, 10**400]}, "row_deficits holds an integer beyond the float range"),
+        ({"prior": [0.5, 0.5], "row_deficits": [0, 2**1024 - 2**970]},
+         "row_deficits holds an integer beyond the float range"),
+        ({"prior": [10**400, 0], "truncation_deficit": 10**400},
+         "prior holds an integer beyond the float range"),
+        ({"truncation_deficit": 10**400, "channel": [[10**400, 0], [0, 1]]},
+         "truncation_deficit holds an integer beyond the float range"),
+        ({"prior": [True, False]}, "prior entries must be JSON numbers, got a JSON boolean"),
+        ({"prior": [0.5, "0.5"]}, "prior entries must be JSON numbers, got a JSON string"),
+        ({"row_deficits": [False, "0"]},
+         "row_deficits entries must be JSON numbers, got a JSON boolean"),
     ],
     ids=["top_number", "top_null", "alphabet_number", "alphabet_string", "alphabet_object",
-         "deficit_null", "deficit_array", "deficit_string", "deficit_bool"],
+         "deficit_null", "deficit_array", "deficit_string", "deficit_bool",
+         "prior_huge_int", "deficit_huge_int", "channel_huge_int", "row_deficits_huge_int",
+         "row_deficits_first_overflowing_int", "prior_before_deficit",
+         "deficit_before_channel", "prior_bools", "prior_string",
+         "row_deficits_bool_string"],
 )
 def test_model_shapes_rejected_by_name(tmp_path, capsys, doc, reason):
-    # Each of these used to end in a TypeError traceback or be read as some
-    # other model (a string as its characters, an object as its keys).
+    # Each of these used to end in a TypeError or OverflowError traceback, or
+    # be read as some other model (a string as its characters, an object as
+    # its keys, booleans and strings as the numbers they convert to).
     if isinstance(doc, dict):
         doc = {"alphabet_x": ["a", "b"], "alphabet_y": [0, 1], "prior": [0.5, 0.5],
                "channel": [[1.0, 0.0], [0.0, 1.0]], **doc}
@@ -184,3 +198,110 @@ def test_model_shapes_rejected_by_name(tmp_path, capsys, doc, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"pmlkit: validation error: {path}: {reason}\n"
+
+
+def _write(tmp_path, **keys) -> str:
+    doc = {"alphabet_x": ["a", "b"], "alphabet_y": [0, 1], "prior": [0.5, 0.5],
+           "channel": [[1.0, 0.0], [0.0, 1.0]], **keys}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_largest_float_integer_still_loads_as_a_number(tmp_path):
+    # 2**1024 - 2**970 - 1 rounds to the largest float, so it is no overflow;
+    # the model then fails the law check, as any such prior does.
+    path = _write(tmp_path, prior=[0, 2**1024 - 2**970 - 1])
+    with pytest.raises(ValidationError, match="sum to 1.797"):
+        load_model_json(path)
+
+
+@pytest.mark.parametrize(
+    "raw, symbols",
+    [
+        (["a", "b", "c"], ("a", "b", "c")),
+        ([3, 1, 2], (3, 1, 2)),
+        (["a", 1, 2.0, -3.0, "4"], ("a", 1, 2, -3, "4")),
+    ],
+    ids=["strings", "ints", "mixed"],
+)
+def test_alphabet_symbols_are_what_symbol_gives(tmp_path, raw, symbols):
+    n = len(raw)
+    path = _write(tmp_path, alphabet_x=raw, prior=[1.0 / n] * n,
+                  channel=[[1.0, 0.0]] * n)
+    alphabet = load_model_json(path).input_alphabet
+    assert alphabet.symbols == symbols
+    assert list(map(type, alphabet.symbols)) == list(map(type, symbols))
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (["a", True], "invalid symbol True"),
+        ([1, 1.0], "alphabet symbols must be unique"),
+        (["a", 0.5], "symbols must be strings or integers, got 0.5"),
+    ],
+    ids=["bool", "int_and_integral_float", "fraction"],
+)
+def test_alphabet_symbols_rejected(tmp_path, raw, message):
+    path = _write(tmp_path, alphabet_x=raw)
+    with pytest.raises(ValidationError, match=message):
+        load_model_json(path)
+
+
+def test_callers_arrays_are_copied():
+    alphabet = Alphabet(["a", "b"])
+    probs = np.array([0.5, 0.5])
+    matrix = np.eye(2)
+    deficits = np.zeros(2)
+    dist = DiscreteDistribution(alphabet, probs)
+    channel = DiscreteChannel(alphabet, alphabet, matrix, deficits)
+    probs[0], matrix[0, 0], deficits[0] = 0.9, 0.3, 0.7
+    assert dist.probs.tolist() == [0.5, 0.5]
+    assert channel.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert channel.row_deficits.tolist() == [0.0, 0.0]
+    for array in (dist.probs, channel.matrix, channel.row_deficits):
+        assert not array.flags.writeable
+
+
+def test_ragged_channel_message_is_numpys(tmp_path, capsys):
+    ragged = [[1.0, 0.0], [1.0]]
+    with pytest.raises(ValueError) as conversion:
+        np.asarray(ragged, dtype=float)
+    path = _write(tmp_path, channel=ragged)
+    assert main(["compute", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pmlkit: validation error: {conversion.value}\n"
+
+
+@pytest.mark.parametrize(
+    "channel_text, prior_text, reason",
+    [
+        ("0,1\n1,0\n0,1\n", "x0,0.5,1\nx1,0.5\n",
+         "{prior}: line 1: expected 'symbol,probability'"),
+        ("0,1\n1,0\n0,1\n", "x0,0.5\nx1,abc\n", "{prior}: line 2: 'abc' is not a decimal number"),
+        ("0,1\n1,0\n0,1\n", "x0,nan\nx1,0.5\n", "{prior}: line 1: NaN is not a probability"),
+        ("0,1\n1,0,0\n0,1\n", "x0,0.5\nx1,0.5\n", "{channel}: line 2: expected 2 columns, got 3"),
+        ("0,1\n1,0\n0.5,abc\n", "x0,0.5\nx1,0.5\n",
+         "{channel}: line 3: 'abc' is not a decimal number"),
+        ("0,1\n1,0\n", "x0,0.5\nx1,0.5\n", "{channel}: 1 channel rows for 2 prior symbols"),
+        ("\n", "x0,0.5\nx1,0.5\n", "{channel}: empty channel file"),
+        ("0,1\n1,0\n0,1\n", None, "CSV channels require a separate prior file"),
+    ],
+    ids=["prior_fields", "prior_number", "prior_nan", "channel_columns", "channel_number",
+         "channel_rows", "channel_empty", "no_prior"],
+)
+def test_csv_error_texts(tmp_path, capsys, channel_text, prior_text, reason):
+    channel = tmp_path / "ch.csv"
+    prior = tmp_path / "prior.csv"
+    channel.write_text(channel_text)
+    argv = ["compute", str(channel)]
+    if prior_text is not None:
+        prior.write_text(prior_text)
+        argv.append(str(prior))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("pmlkit: validation error: "
+                            + reason.format(channel=channel, prior=prior) + "\n")
