@@ -21,7 +21,6 @@ from .leakage import (
     LeakageProfile,
     LeakageValue,
     absolute_continuity_witness,
-    check_absolute_continuity,
     leakage_profile,
     maximal_leakage,
     mean_leakage,

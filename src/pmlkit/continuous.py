@@ -83,11 +83,7 @@ class GridSpec:
             raise ValidationError(f"refine factor must be an integer >= 1, got {self.refine!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "points": self.points,
-            "quantile_clip": self.quantile_clip,
-            "refine": self.refine,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)

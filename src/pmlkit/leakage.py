@@ -27,7 +27,6 @@ from .distributions import (
     JointModel,
     Symbol,
     _law_fault,
-    posterior,
 )
 from .errors import AlphabetMismatchError, ValidationError
 
@@ -138,15 +137,12 @@ def _leakage_nats(model: JointModel, outcomes: slice) -> np.ndarray:
     live = p_y > 0.0
     # the one |X| x |Y| float temporary: the posteriors, then their log ratios
     ratio = prior[:, None] * model.channel.matrix[:, outcomes]
-    with np.errstate(over="ignore"):  # posterior() words the overflow, below
-        ratio /= np.where(live, p_y, 1.0)
+    ratio /= np.where(live, p_y, 1.0)
     # each live column's total, checked as a one-atom law as posterior() checks it
     totals = np.where(live, ratio.sum(axis=0), 1.0)
     fault = _law_fault(totals[:, None], np.maximum(1.0 - totals, 0.0))
     if fault is not None:
         y = model.output_alphabet.symbols[outcomes][fault[0]]
-        if totals[fault[0]] == math.inf:
-            posterior(model, y)  # raises, naming the cached P_Y(y)
         raise ValidationError(f"posterior at outcome {y!r}: {fault[1]}")
     support = ratio > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -229,15 +225,3 @@ def absolute_continuity_witness(
     if violations.size == 0:
         return None
     return p.alphabet.symbols[int(violations[0])]
-
-
-def check_absolute_continuity(
-    model: JointModel, y: Symbol
-) -> Tuple[bool, Optional[Symbol]]:
-    """True iff the posterior at y is absolutely continuous w.r.t. the prior.
-
-    When false, the second element is the violating atom; ``pml`` is
-    +infinity exactly in that case.
-    """
-    witness = absolute_continuity_witness(posterior(model, y), model.prior)
-    return witness is None, witness

@@ -84,19 +84,23 @@ def load_model_json(path: PathLike) -> JointModel:
     deficit = doc.get("truncation_deficit", 0.0)
     for key, value, want in (("alphabet_x", doc["alphabet_x"], "array"),
                              ("alphabet_y", doc["alphabet_y"], "array"),
-                             ("truncation_deficit", deficit, "number")):
+                             ("prior", doc["prior"], "array"),
+                             ("truncation_deficit", deficit, "number"),
+                             ("channel", doc["channel"], "array"),
+                             ("row_deficits", doc.get("row_deficits", []), "array")):
         got = _JSON_TYPES[type(value)]
         if got != want:
             raise ValidationError(f"{path}: {key} must be a JSON {want}, got a JSON {got}")
     alphabet_x, alphabet_y = (  # _symbol keeps ints and strings as they are
         Alphabet(raw if set(map(type, raw)) <= {int, str} else map(_symbol, raw))
         for raw in (doc["alphabet_x"], doc["alphabet_y"]))
-    for key in ("prior", "row_deficits"):  # |X| entries each, so checking every type is cheap
-        value = doc.get(key)
-        wrong = [v for v in value if type(v) in (bool, str)] if type(value) is list else ()
-        if wrong:
-            got = _JSON_TYPES[type(wrong[0])]
-            raise ValidationError(f"{path}: {key} entries must be JSON numbers, got a JSON {got}")
+    # |X| items each, so checking every type is cheap; a channel row's entries are not checked
+    for key, want, noun in (("prior", "number", "entries"), ("channel", "array", "rows"),
+                            ("row_deficits", "number", "entries")):
+        items = doc.get(key, [])
+        got = next((_JSON_TYPES[type(v)] for v in items if _JSON_TYPES[type(v)] != want), want)
+        if got != want:
+            raise ValidationError(f"{path}: {key} {noun} must be JSON {want}s, got a JSON {got}")
     try:  # the constructors convert each parsed list to its one float array
         prior = DiscreteDistribution(alphabet_x, doc["prior"], deficit)
         channel = DiscreteChannel(alphabet_x, alphabet_y, doc["channel"], doc.get("row_deficits"))
@@ -104,6 +108,9 @@ def load_model_json(path: PathLike) -> JointModel:
         key = next(k for k in ("prior", "truncation_deficit", "channel", "row_deficits")
                    if _overflows(doc.get(k)))
         raise ValidationError(f"{path}: {key} holds an integer beyond the float range") from None
+    except TypeError:  # float() of a JSON object, which only a channel row can still hold
+        raise ValidationError(f"{path}: channel entries must be JSON numbers, got a JSON object"
+                              ) from None
     return JointModel(prior, channel)
 
 

@@ -68,21 +68,9 @@ class GainFunction:
         return probs @ self.gains
 
 
-#: the last model seen by _posterior: (model, {outcome: its posterior})
-_posterior_memo: tuple = (None, {})
-
-
-def _posterior(model: JointModel, y: Symbol) -> DiscreteDistribution:
-    """posterior(model, y), built and law-checked once per (model, y): a
-    one-entry memo keyed on the identity of the model, which it holds, so no
-    other model can take that identity."""
-    global _posterior_memo
-    if _posterior_memo[0] is not model:
-        _posterior_memo = (model, {})
-    cache = _posterior_memo[1]
-    if y not in cache:
-        cache[y] = posterior(model, y)
-    return cache[y]
+#: posterior(model, y), built and law-checked once per (model, y) while the
+#: caller stays on one outcome; models hash by identity
+_posterior = lru_cache(maxsize=1)(posterior)
 
 
 def _require_positive_outcome(model: JointModel, y: Symbol) -> None:
@@ -124,26 +112,16 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
     return s
 
 
-#: the last prior seen by _prior_events: (probs, its event masses, its null events)
-_prior_memo: tuple = (None, None, None)
-
-
-def _prior_events(prior: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def _prior_events(prior: DiscreteDistribution) -> Tuple[np.ndarray, np.ndarray]:
     """The prior's event masses and the masks of its null events (the subsets
-    of its zero atoms), built once per prior rather than once per outcome.
-
-    A one-entry memo keyed on the identity of the read-only probability
-    array.  It holds that array, so no other array can take its identity.
-    """
-    global _prior_memo
-    memo = _prior_memo
-    if memo[0] is not prior:
-        sums = _subset_sums(prior)
-        sums.setflags(write=False)
-        # a mask is the sum of its atoms' bit values: 2^z entries for z zero atoms
-        null = _subset_sums(np.exp2(np.flatnonzero(prior == 0))).astype(np.intp)
-        memo = _prior_memo = (prior, sums, null)
-    return memo[1], memo[2]
+    of its zero atoms), built once per prior rather than once per outcome."""
+    probs = prior.probs
+    sums = _subset_sums(probs)
+    sums.setflags(write=False)
+    # a mask is the sum of its atoms' bit values: 2^z entries for z zero atoms
+    null = _subset_sums(np.exp2(np.flatnonzero(probs == 0))).astype(np.intp)
+    return sums, null
 
 
 def _event_ratios(model: JointModel, y: Symbol) -> np.ndarray:
@@ -153,7 +131,7 @@ def _event_ratios(model: JointModel, y: Symbol) -> np.ndarray:
     1, as in _set_ratios; no other event divides by zero.
     """
     ratios = _subset_sums(_posterior(model, y).probs)
-    prior_sums, null = _prior_events(model.prior.probs)
+    prior_sums, null = _prior_events(model.prior)
     with np.errstate(invalid="ignore"):
         np.divide(ratios, prior_sums, out=ratios)
     ratios[null] = 1.0

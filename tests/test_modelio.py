@@ -177,18 +177,37 @@ def test_row_deficits_length_checked(tmp_path):
         ({"prior": [0.5, "0.5"]}, "prior entries must be JSON numbers, got a JSON string"),
         ({"row_deficits": [False, "0"]},
          "row_deficits entries must be JSON numbers, got a JSON boolean"),
+        ({"prior": {"a": 1}}, "prior must be a JSON array, got a JSON object"),
+        ({"prior": None}, "prior must be a JSON array, got a JSON null"),
+        ({"prior": 0.5}, "prior must be a JSON array, got a JSON number"),
+        ({"prior": [{"a": 1}, 0.5]}, "prior entries must be JSON numbers, got a JSON object"),
+        ({"prior": [None, 1.0]}, "prior entries must be JSON numbers, got a JSON null"),
+        ({"channel": {"a": 1}}, "channel must be a JSON array, got a JSON object"),
+        ({"channel": None}, "channel must be a JSON array, got a JSON null"),
+        ({"channel": [[1.0, 0.0], {"a": 1}]}, "channel rows must be JSON arrays, got a JSON object"),
+        ({"channel": [[1.0, 0.0], 0.5]}, "channel rows must be JSON arrays, got a JSON number"),
+        ({"channel": [[1.0, 0.0], [0.0, {"a": 1}]]},
+         "channel entries must be JSON numbers, got a JSON object"),
+        ({"row_deficits": {"a": 0}}, "row_deficits must be a JSON array, got a JSON object"),
+        ({"row_deficits": None}, "row_deficits must be a JSON array, got a JSON null"),
+        ({"row_deficits": [0, {"a": 0}]},
+         "row_deficits entries must be JSON numbers, got a JSON object"),
     ],
     ids=["top_number", "top_null", "alphabet_number", "alphabet_string", "alphabet_object",
          "deficit_null", "deficit_array", "deficit_string", "deficit_bool",
          "prior_huge_int", "deficit_huge_int", "channel_huge_int", "row_deficits_huge_int",
          "row_deficits_first_overflowing_int", "prior_before_deficit",
          "deficit_before_channel", "prior_bools", "prior_string",
-         "row_deficits_bool_string"],
+         "row_deficits_bool_string", "prior_object", "prior_null", "prior_number",
+         "prior_object_entry", "prior_null_entry", "channel_object", "channel_null",
+         "channel_object_row", "channel_number_row", "channel_object_entry",
+         "row_deficits_object", "row_deficits_null", "row_deficits_object_entry"],
 )
 def test_model_shapes_rejected_by_name(tmp_path, capsys, doc, reason):
-    # Each of these used to end in a TypeError or OverflowError traceback, or
-    # be read as some other model (a string as its characters, an object as
-    # its keys, booleans and strings as the numbers they convert to).
+    # Each of these used to end in a TypeError or OverflowError traceback, be
+    # read as some other model (a string as its characters, an object as its
+    # keys, booleans and strings as the numbers they convert to, a null
+    # row_deficits as zeros), or get a shape message that named no key.
     if isinstance(doc, dict):
         doc = {"alphabet_x": ["a", "b"], "alphabet_y": [0, 1], "prior": [0.5, 0.5],
                "channel": [[1.0, 0.0], [0.0, 1.0]], **doc}
