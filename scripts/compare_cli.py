@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Replay a fixed list of ``pmlkit verify``, ``compute`` and ``tail`` requests
-in two checkouts and report every request whose exit code, stdout or stderr
-differ.
+"""Replay a fixed list of ``pmlkit`` requests in two checkouts and report
+every request whose exit code, stdout or stderr differ.
 
     python3 scripts/compare_cli.py PARENT CHANGE
 
@@ -9,14 +8,18 @@ PARENT and CHANGE are the roots of two pmlkit checkouts.  Each request runs
 as ``python -m pmlkit.cli`` in a fresh interpreter with that checkout's
 ``src/`` first on the path, from one temporary directory holding the
 inputs, so both sides read the same files under the same names.  The inputs
-are the model fixtures of CHANGE plus seeded Dirichlet models (the shapes
-the benchmark's ``verify_mix`` uses, and one with zero-prior atoms and
-outcomes no input produces).  Every oracle runs on every input with the
-option values below, so capacity and validation refusals are compared too.
-``compute`` and ``tail`` run with their options below on the fixtures, the
-CSV pair, the model with zero-prior atoms and two seeded wide models
-(16 and 64 inputs by 2000 outcomes), whose reports carry one float per
-outcome.
+are the model and family fixtures of CHANGE plus seeded Dirichlet models
+(the shapes the benchmark's ``verify_mix`` uses, and one with zero-prior
+atoms and outcomes no input produces).  Every oracle runs on every input
+with the option values below, so capacity and validation refusals are
+compared too.  ``compute`` and ``tail`` run with their options below on
+the fixtures, the CSV pair, the model with zero-prior atoms and two seeded
+wide models (16 and 64 inputs by 2000 outcomes), whose reports carry one
+float per outcome.  ``continuous`` runs each family, given as a fixture
+file and inline, with the options below: negative and exponent outcomes,
+``=`` forms, abbreviations and grid checks with inline and file grids.
+Last come argv on which argparse exits: help, ``--version`` and usage
+errors, whose exit code 2 and stderr are compared.
 
 Exits 0 when every request matches and 1 otherwise.
 """
@@ -57,6 +60,44 @@ REPORT_OPTIONS = (
         [], ["--format", "csv"], ["--units", "bits"], ["--units", "bits", "--format", "csv"])),
 )
 
+FAMILIES = ("additive_gaussian", "bivariate_gaussian", "gaussian_mixture", "poisson_binomial",
+            "geometric_binary")
+#: each follows ``continuous --family SPEC``; ``grid.json`` is written with the inputs
+CONTINUOUS_OPTIONS = (
+    ["--outcome", "1"],
+    ["--outcome", "0", "--units", "bits", "--seed", "7"],
+    ["--outcome", "-1.5"],
+    ["--outcome", "-1e3"],
+    ["--outcome=-1"],
+    ["--outc", "2", "--un", "bits"],
+    ["--out", "2"],
+    ["--outcome", "1", "--check-grid"],
+    ["--check-grid", "--outcome", "-1.5", "--grid", '{"points": 4096, "refine": 4}'],
+    ["--outcome", "0.5", "--grid", "grid.json", "--check-grid"],
+)
+GRID = {"points": 2048, "refine": 8, "quantile_clip": 1e-10}
+#: argv on which argparse exits: help, version and usage errors
+ARGPARSE_EXITS = (
+    [], ["-h"], ["--version"], ["bogus"], ["-h", "compute"],
+    ["--units", "bits", "compute", "identity4.json"],
+    *([command, "-h"] for command in ("compute", "verify", "continuous", "tail")),
+    ["compute"], ["compute", "identity4.json", "--bad"],
+    ["compute", "identity4.json", "--units", "furlongs"],
+    ["compute", "identity4.json", "--outcome"], ["compute", "identity4.json", "--version"],
+    ["compute", "--", "identity4_channel.csv", "identity4_prior.csv", "extra"],
+    ["compute", "identity4_channel.csv", "--units", "bits", "identity4_prior.csv"],
+    ["verify", "identity4.json"], ["verify", "identity4.json", "--oracle", "nope"],
+    ["verify", "identity4.json", "--oracle", "functions", "--max-groups", "x"],
+    ["verify", "identity4.json", "--oracle", "partition", "--eps", "-1e3"],
+    ["verify", "identity4.json", "--oracle", "subset", "--max", "2", "--ma", "3"],
+    ["tail", "identity4.json"], ["tail", "identity4.json", "--eps", "x"],
+    ["tail", "identity4.json", "--eps", "1", "--eps"],
+    ["continuous", "--outcome", "1"],
+    ["continuous", "--family", "family_gaussian_mixture.json", "--outcome", "x"],
+    ["continuous", "--family", "family_gaussian_mixture.json", "--outcome", "1", "extra"],
+    ["continuous", "--family", "family_gaussian_mixture.json", "--outcome", "1", "--check"],
+)
+
 
 def _write_model(path: Path, prior: np.ndarray, channel: np.ndarray) -> None:
     doc = {"alphabet_x": list(range(len(prior))), "alphabet_y": list(range(channel.shape[1])),
@@ -66,9 +107,13 @@ def _write_model(path: Path, prior: np.ndarray, channel: np.ndarray) -> None:
 
 def write_inputs(change: Path, directory: Path) -> tuple:
     """Write every input into ``directory``; return one argv prefix per input,
-    for ``verify`` and for ``compute`` and ``tail``."""
-    for name in FIXTURES + CSV_PAIR:
+    for ``verify``, for ``compute`` and ``tail``, and for ``continuous``."""
+    families = [f"family_{family}.json" for family in FAMILIES]
+    for name in FIXTURES + CSV_PAIR + tuple(families):
         shutil.copyfile(change / "fixtures" / name, directory / name)
+    (directory / "grid.json").write_text(json.dumps(GRID), encoding="utf-8")
+    specs = families + [json.dumps(json.loads((directory / name).read_text(encoding="utf-8")))
+                        for name in families]
     inputs = [[name] for name in FIXTURES] + [list(CSV_PAIR)]
     rng = np.random.default_rng(20231)
     for n, m in SHAPES:
@@ -89,7 +134,8 @@ def write_inputs(change: Path, directory: Path) -> tuple:
         name = f"wide{n}x{m}.json"
         _write_model(directory / name, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m), n))
         wide.append([name])
-    return inputs, [[name] for name in FIXTURES] + [list(CSV_PAIR), ["zeros9x6.json"], *wide]
+    reports = [[name] for name in FIXTURES] + [list(CSV_PAIR), ["zeros9x6.json"], *wide]
+    return inputs, reports, [["--family", spec] for spec in specs]
 
 
 def _start(checkout: Path, argv: list, cwd: Path) -> subprocess.Popen:
@@ -116,12 +162,15 @@ def main(argv: list) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        verify_inputs, report_inputs = write_inputs(change, directory)
-        requests = [["verify", *model, *options]
+        verify_inputs, report_inputs, families = write_inputs(change, directory)
+        requests = [("verify", ["verify", *model, *options])
                     for model in verify_inputs for options in OPTIONS]
-        requests += [[command, *model, *options]
+        requests += [(command, [command, *model, *options])
                      for model in report_inputs for command, *options in REPORT_OPTIONS]
-        for request in requests:
+        requests += [("continuous", ["continuous", *family, *options])
+                     for family in families for options in CONTINUOUS_OPTIONS]
+        requests += [("argparse exit", argv) for argv in ARGPARSE_EXITS]
+        for _, request in requests:
             # both sides of a request run side by side, one process each
             running = [_start(root, request, directory) for root in (parent, change)]
             before, after = (_finish(proc) for proc in running)
@@ -133,8 +182,8 @@ def main(argv: list) -> int:
                 print(f"{' '.join(request)}: {', '.join(diffs)} differ "
                       f"(exit {before[0]} -> {after[0]})")
     tally = ", ".join(f"{n} exit {code}" for code, n in sorted(codes.items()))
-    per_command = Counter(request[0] for request in requests)
-    commands = ", ".join(f"{n} {command}" for command, n in per_command.items())
+    per_kind = Counter(kind for kind, _ in requests)
+    commands = ", ".join(f"{n} {kind}" for kind, n in per_kind.items())
     print(f"{len(requests)} argv ({commands}), {differ} differ; change side: {tally}")
     return 1 if differ else 0
 

@@ -10,8 +10,12 @@ violation, 3 capacity/capability error.  argparse usage errors also exit
 2: they print ``usage:`` on stderr and nothing on stdout, where an oracle
 violation prints a report with ``"all_ok": false``.
 
-Each request is parsed by its command's parser alone (``COMMANDS``); the
-full parser is built only when argparse must speak for the whole program.
+Table first, argparse for the rest: ``COMMANDS`` holds each command's
+help, handler, positionals and options, and a well-formed request is read
+from it with no parser built.  Any other argv (help, ``--version``,
+``--opt=value``, abbreviations, ``--``, unknown tokens, a bad value) goes
+to the full parser, which ``build_parser`` makes from the same table, so
+argparse still writes every help text and decides every usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+from itertools import zip_longest
+from typing import Optional
 
 import numpy as np
 
@@ -237,7 +244,9 @@ def _load_spec(raw: str, what: str, keys=None) -> dict:
 
 
 def cmd_continuous(args) -> int:
-    spec = _load_spec(args.family, "family spec")
+    spec = _load_spec(args.family, "family spec", ("family", "params"))
+    if "family" not in spec:
+        raise ValidationError(f"family spec must hold the key 'family', got {spec!r}")
     model = ClosedFormModel(spec["family"], spec.get("params", {}))
     y = float(args.outcome)
     closed = pml_closed_form(model, y)
@@ -312,60 +321,55 @@ def cmd_tail(args) -> int:
     return EXIT_OK
 
 
-def _model_args(p) -> None:
-    p.add_argument("channel", help="model JSON file, or channel CSV (with PRIOR)")
-    p.add_argument("prior", nargs="?", default=None, help="prior CSV for CSV channels")
-    p.add_argument("--units", choices=("nats", "bits"), default="nats")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--output", default=None, help="write the report here instead of stdout")
+_UNITS = ("--units", dict(dest="units", choices=("nats", "bits"), default="nats"))
+_SEED = ("--seed", dict(dest="seed", type=int, default=42))
+_FORMAT = ("--format", dict(dest="format", choices=("json", "csv"), default="json"))
+_MODEL_ARGUMENTS = (
+    ("channel", dict(help="model JSON file, or channel CSV (with PRIOR)")),
+    ("prior", dict(nargs="?", help="prior CSV for CSV channels")),
+    _UNITS,
+    _SEED,
+    ("--output", dict(dest="output", help="write the report here instead of stdout")),
+)
 
-
-def _compute_args(p) -> None:
-    _model_args(p)
-    p.add_argument("--outcome", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_compute)
-
-
-def _verify_args(p) -> None:
-    _model_args(p)
-    p.add_argument(
-        "--oracle",
-        required=True,
-        choices=("subset", "partition", "functions", "strategies"),
-    )
-    p.add_argument("--eps", type=float, default=0.05, help="partition oracle band")
-    p.add_argument("--max-groups", type=int, default=5, dest="max_groups")
-    p.add_argument("--gains", type=int, default=20, help="random gain functions for strategies")
-    p.add_argument("--resolution", type=int, default=20, help="simplex grid resolution")
-    p.set_defaults(func=cmd_verify)
-
-
-def _continuous_args(p) -> None:
-    p.add_argument("--family", required=True, help="family spec JSON (inline or a file path)")
-    p.add_argument("--outcome", required=True, type=float)
-    p.add_argument("--grid", default=None, help="grid spec JSON (inline or a file path)")
-    p.add_argument("--check-grid", action="store_true", dest="check_grid")
-    p.add_argument("--units", choices=("nats", "bits"), default="nats")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_continuous)
-
-
-def _tail_args(p) -> None:
-    _model_args(p)
-    p.add_argument("--eps", type=float, action="append", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_tail)
-
-
-#: name -> (help in the command list, a function that adds the command's
-#: arguments and its ``func`` default), in the order ``pmlkit -h`` lists them
+#: name -> (help in the command list, handler, arguments), in the order
+#: ``pmlkit -h`` lists them.  An argument is a positional's name or an
+#: option's flag, and its ``add_argument`` keywords: an option names its
+#: ``dest`` and may set ``type``, ``choices``, ``default``, ``required`` and
+#: ``action`` ("append" or "store_true"); an optional positional has
+#: ``nargs="?"`` and follows the required ones.
 COMMANDS = {
-    "compute": ("leakage profile or a single outcome's leakage", _compute_args),
-    "verify": ("check the pipeline against a brute-force adversary", _verify_args),
-    "continuous": ("closed-form families, optionally grid-checked", _continuous_args),
-    "tail": ("P(leakage > eps) table and the leakage CDF", _tail_args),
+    "compute": ("leakage profile or a single outcome's leakage", cmd_compute, (
+        *_MODEL_ARGUMENTS,
+        ("--outcome", dict(dest="outcome")),
+        _FORMAT,
+    )),
+    "verify": ("check the pipeline against a brute-force adversary", cmd_verify, (
+        *_MODEL_ARGUMENTS,
+        ("--oracle", dict(dest="oracle", required=True,
+                          choices=("subset", "partition", "functions", "strategies"))),
+        ("--eps", dict(dest="eps", type=float, default=0.05, help="partition oracle band")),
+        ("--max-groups", dict(dest="max_groups", type=int, default=5)),
+        ("--gains", dict(dest="gains", type=int, default=20,
+                         help="random gain functions for strategies")),
+        ("--resolution", dict(dest="resolution", type=int, default=20,
+                              help="simplex grid resolution")),
+    )),
+    "continuous": ("closed-form families, optionally grid-checked", cmd_continuous, (
+        ("--family", dict(dest="family", required=True,
+                          help="family spec JSON (inline or a file path)")),
+        ("--outcome", dict(dest="outcome", required=True, type=float)),
+        ("--grid", dict(dest="grid", help="grid spec JSON (inline or a file path)")),
+        ("--check-grid", dict(dest="check_grid", action="store_true", default=False)),
+        _UNITS,
+        _SEED,
+        ("--output", dict(dest="output")),
+    )),
+    "tail": ("P(leakage > eps) table and the leakage CDF", cmd_tail, (
+        *_MODEL_ARGUMENTS,
+        ("--eps", dict(dest="eps", type=float, action="append", required=True)),
+        _FORMAT,
+    )),
 }
 
 
@@ -376,30 +380,80 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pmlkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args) in COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_text))
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
-def _parse(argv) -> argparse.Namespace:
-    """Parse ``argv`` with only the named command's parser when that suffices.
+#: argparse reads a token that matches this as a value, not as an option
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
-    ``add_parser`` gives a command's parser the prog ``pmlkit NAME`` and
-    nothing else, and the full parser hands it everything after the name
-    through ``parse_known_args``, so the two agree on every namespace,
-    help text and error.  Anything the command's parser leaves over, and
-    any argv that does not start with a command name (top-level ``-h``,
-    ``--version``, no or an unknown command), goes to the full parser,
-    which reports it as it always has.
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv`` from ``COMMANDS``, or with the full parser where the table cannot."""
+    args = _read(argv)
+    return build_parser().parse_args(argv) if args is None else args
+
+
+def _read(argv) -> Optional[argparse.Namespace]:
+    """``argv``'s namespace read from ``COMMANDS`` alone, or None.
+
+    It reads an argv that starts with a command name and holds only that
+    command's option strings, spelled out, each value-taking one followed
+    by one value (which starts with "-" only as a negative number), and
+    one run of positionals within the command's count; every required
+    option must be given, and every value must convert and be among its
+    choices.  On such an argv argparse builds the same namespace.  On any
+    other (help, ``--version``, ``--opt=value``, abbreviations, ``--``,
+    unknown tokens, usage errors) it returns None, and argparse decides.
     """
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"pmlkit {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    options, names, least = {}, [], 0
+    for flag, keywords in arguments:
+        if flag.startswith("-"):
+            options[flag] = keywords
+        else:
+            names.append(flag)
+            least += "nargs" not in keywords
+    positionals, values, run_ended = [], {}, False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = options.get(token)
+        if option is None:
+            if token.startswith("-") or run_ended:
+                return None
+            positionals.append(token)
+            continue
+        run_ended = bool(positionals)
+        if option.get("action") == "store_true":
+            values[option["dest"]] = True
+            continue
+        raw = next(tokens, None)
+        if raw is None or (raw.startswith("-") and not re.match(_NEGATIVE_NUMBER, raw)):
+            return None
+        try:
+            value = option["type"](raw) if "type" in option else raw
+        except ValueError:
+            return None
+        if "choices" in option and value not in option["choices"]:
+            return None
+        if option.get("action") == "append":
+            values.setdefault(option["dest"], []).append(value)
+        else:
+            values[option["dest"]] = value
+    if not least <= len(positionals) <= len(names):
+        return None
+    if any(option.get("required") and option["dest"] not in values for option in options.values()):
+        return None
+    namespace = dict(zip_longest(names, positionals))  # an absent "?" positional is None
+    namespace.update((option["dest"], option.get("default")) for option in options.values())
+    namespace.update(values)
+    return argparse.Namespace(command=argv[0], func=func, **namespace)
 
 
 def main(argv=None) -> int:

@@ -59,6 +59,12 @@ def _norm_isf(q: float) -> float:
     return -statistics.NormalDist().inv_cdf(q)
 
 
+def _number(value, kind) -> bool:
+    """Whether ``value`` is a ``kind`` other than a bool: ``numbers`` counts
+    bool as Integral, but JSON's true and false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
     """Resolution of the likelihood-ratio grid search."""
@@ -68,18 +74,18 @@ class GridSpec:
     refine: int = 16
 
     def __post_init__(self):
-        if not (isinstance(self.points, numbers.Integral) and self.points >= MIN_GRID_POINTS):
+        if not (_number(self.points, numbers.Integral) and self.points >= MIN_GRID_POINTS):
             raise ValidationError(
                 f"grid points must be an integer >= {MIN_GRID_POINTS}, got {self.points!r}"
             )
-        if not (isinstance(self.quantile_clip, numbers.Real)
+        if not (_number(self.quantile_clip, numbers.Real)
                 and 0 < self.quantile_clip <= MAX_QUANTILE_CLIP):
             raise ValidationError(
                 f"quantile_clip must lie in (0, {MAX_QUANTILE_CLIP:g}], got "
                 f"{self.quantile_clip!r}: the two clipped prior tails may drop at "
                 f"most {DENSITY_CLIP_DEFICIT:g} of mass"
             )
-        if not (isinstance(self.refine, numbers.Integral) and self.refine >= 1):
+        if not (_number(self.refine, numbers.Integral) and self.refine >= 1):
             raise ValidationError(f"refine factor must be an integer >= 1, got {self.refine!r}")
 
     def to_dict(self) -> dict:
@@ -259,7 +265,7 @@ class ClosedFormModel:
             )
         for name, value in self.params.items():
             try:
-                finite = isinstance(value, numbers.Real) and math.isfinite(value)
+                finite = _number(value, numbers.Real) and math.isfinite(value)
             except OverflowError:  # an int beyond the float range
                 finite = False
             if not finite:

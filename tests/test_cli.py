@@ -351,15 +351,26 @@ def test_non_finite_outcome_exits_one(capsys, family, outcome):
          '"params": {"sigma_x": null, "sigma_y": 1, "rho": 0}}', None,
          "bivariate_gaussian parameter sigma_x must be a finite number, got None"),
         ("list_spec.json", None,
-         "family spec must be a JSON object, got [{'family': 'gaussian_mixture'}]"),
+         "family spec must be a JSON object with keys among ['family', 'params'], "
+         "got [{'family': 'gaussian_mixture'}]"),
         ("family_additive_gaussian.json", '{"pts": 2000}',
          "grid spec must be a JSON object with keys among "
          "['points', 'quantile_clip', 'refine'], got {'pts': 2000}"),
         ("family_additive_gaussian.json", '{"points": "abc"}',
          "grid points must be an integer >= 1024, got 'abc'"),
+        ('{"family": "gaussian_mixture", "params": {"sigma": true}}', None,
+         "gaussian_mixture parameter sigma must be a finite number, got True"),
+        ("family_additive_gaussian.json", '{"refine": true}',
+         "refine factor must be an integer >= 1, got True"),
+        ('{"family": "gaussian_mixture", "params": {"sigma": 1}, "grid": {"points": 2048}}',
+         None, "family spec must be a JSON object with keys among ['family', 'params'], got "
+         "{'family': 'gaussian_mixture', 'params': {'sigma': 1}, 'grid': {'points': 2048}}"),
+        ('{"params": {"sigma": 1}}', None,
+         "family spec must hold the key 'family', got {'params': {'sigma': 1}}"),
     ],
     ids=["params_list", "null_parameter", "spec_not_object", "unknown_grid_key",
-         "grid_points_text"],
+         "grid_points_text", "boolean_parameter", "boolean_refine",
+         "unknown_family_key", "missing_family_key"],
 )
 def test_malformed_spec_exits_one(capsys, fixtures_dir, tmp_path, family, grid, message):
     (tmp_path / "list_spec.json").write_text('[{"family": "gaussian_mixture"}]')

@@ -1,16 +1,20 @@
-"""The CLI parses a request with the named command's parser alone.
+"""The CLI reads a well-formed request from its option table (``COMMANDS``)
+and leaves every other argv to argparse.
 
 Help and error texts differ between Python versions, so these tests hold
-that fast path to what the full parser (``build_parser``) does with the
+the table reader to what the full parser (``build_parser``) does with the
 same argv, on whatever Python runs them, rather than to stored text.
 """
 
 import argparse
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmlkit import cli
 from pmlkit.cli import COMMANDS, build_parser, main
@@ -116,9 +120,17 @@ def parsers_built(monkeypatch):
     ],
     ids=lambda argv: argv[0],
 )
-def test_a_request_builds_one_parser(capsys, parsers_built, argv):
+def test_a_well_formed_request_builds_no_parser(capsys, parsers_built, argv):
     assert main([str(FIXTURES / a) if a.endswith(".json") else a for a in argv]) == 0
-    assert parsers_built == [f"pmlkit {argv[0]}"]
+    assert parsers_built == []
+
+
+@pytest.mark.parametrize(
+    "argv", [make_fixtures.golden_argv(name) for name in sorted(make_fixtures.GOLDENS)],
+    ids=" ".join,
+)
+def test_every_golden_argv_is_read_from_the_table(argv):
+    assert cli._read(argv) is not None
 
 
 def test_top_level_help_builds_the_full_parser(capsys, parsers_built):
@@ -137,3 +149,97 @@ def test_module_entry_point_reads_sys_argv():
     )
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == (FIXTURES / "golden" / "compute_identity4.json").read_bytes()
+
+
+#: values by option type: ones the table reader takes (negative numbers among
+#: them) and ones it leaves to argparse (exponents with a sign, "-" and flags)
+GOOD_VALUES = {
+    int: ["3", "0", "-3", "07", " 7"],
+    float: ["0.5", "-1", "-1.5", "-.5", "1e3", "1_0", "inf", "nan"],
+    None: ["r.json", "{}", "-1", "", "a b"],
+}
+BAD_VALUES = {
+    int: ["1e3", "x", "-1.5"],
+    float: ["-1e3", "x", "-x", "-inf"],
+    None: ["-x", "-", "--units", "-1e3"],
+}
+GOOD_POSITIONALS = ["m.json", "p.csv", "compute", "", "a b"]
+BAD_POSITIONALS = ["-1", "-", "q.csv"]
+STRAYS = ["--", "--bad", "-x", "-h", "--help", "--version", "bogus", "--un", "--out"]
+
+
+NOISE = ("abbreviate", "equals", "bad values", "bad positionals", "split", "omit", "strays",
+         "drop")
+
+
+@st.composite
+def argvs(draw):
+    """argv for one command, drawn from its rows of ``COMMANDS``.
+
+    A clean argv holds its command's positionals as one run within their
+    count and each option zero to two times (required ones at least once)
+    with values the option takes, in any order.  Each kind of noise drawn
+    from ``NOISE`` spoils it one way: options abbreviated or joined to their
+    value by "=", bad values or choices, bad or too many positionals,
+    positionals split by options, required options omitted, stray tokens,
+    a dropped token.
+    """
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    _, _, arguments = COMMANDS[name]
+    options = [(flag, keywords) for flag, keywords in arguments if flag.startswith("-")]
+    named = [keywords for flag, keywords in arguments if not flag.startswith("-")]
+    noise = draw(st.sets(st.sampled_from(NOISE)))
+    positionals = GOOD_POSITIONALS + BAD_POSITIONALS * ("bad positionals" in noise)
+    least = sum("nargs" not in keywords for keywords in named)
+    least, most = (0, least + 2) if "bad positionals" in noise else (least, len(named))
+    run = draw(st.lists(st.sampled_from(positionals), min_size=least, max_size=most))
+    pieces = [[token] for token in run] if "split" in noise else [run]
+    for flag, keywords in options:
+        required = keywords.get("required", False) and "omit" not in noise
+        for _ in range(draw(st.integers(int(required), 2))):
+            spelled = flag
+            if "abbreviate" in noise and draw(st.booleans()):
+                spelled = flag[:draw(st.integers(3, len(flag)))]
+            if keywords.get("action") == "store_true":
+                pieces.append([spelled])
+                continue
+            values = list(keywords.get("choices") or GOOD_VALUES[keywords.get("type")])
+            if "bad values" in noise:
+                values += ["furlongs"] + BAD_VALUES[keywords.get("type")]
+            value = draw(st.sampled_from(values))
+            if "equals" in noise and draw(st.booleans()):
+                pieces.append([f"{spelled}={value}"])
+            else:
+                pieces.append([spelled, value])
+    if "strays" in noise:
+        pieces += [[token] for token in draw(st.lists(st.sampled_from(STRAYS), max_size=2))]
+    argv = [token for piece in draw(st.permutations(pieces)) for token in piece]
+    if "drop" in noise and argv:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return [name, *argv]
+
+
+def _fields(namespace):
+    """A namespace's attributes as text, so that NaN equals NaN and 1 differs from 1.0."""
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            namespace = parse(argv)
+    except SystemExit as stop:
+        return "exit", stop.code, out.getvalue(), err.getvalue()
+    return "namespace", _fields(namespace)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argvs())
+def test_table_reader_agrees_with_the_full_parser(argv):
+    read = cli._read(argv)
+    full = _outcome(build_parser().parse_args, argv)
+    if read is not None:
+        assert full == ("namespace", _fields(read))
+    else:  # argparse decides; main would go on to run a parsed command
+        assert _outcome(main if full[0] == "exit" else cli._parse, argv) == full

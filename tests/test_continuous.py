@@ -210,6 +210,9 @@ def test_grid_spec_validation():
         GridSpec(points=512)
     with pytest.raises(ValidationError):
         GridSpec(quantile_clip=0.7)
+    for field in ("points", "quantile_clip", "refine"):
+        with pytest.raises(ValidationError, match="got True"):
+            GridSpec(**{field: True})
 
 
 def test_quantile_clip_bound_is_the_largest_that_builds_a_density():
@@ -371,6 +374,8 @@ PARAMETER_ERRORS = [
     ("geometric_binary", {"q": 0.3},
      "geometric_binary expects parameters ('p', 'q'), got ('q',)"),
     ("gaussian_noise", {"sigma": 1.0}, "unknown family 'gaussian_noise'"),
+    ("geometric_binary", {"p": True, "q": 0.5},
+     "geometric_binary parameter p must be a finite number, got True"),
 ]
 
 @pytest.mark.parametrize("family,params,message", PARAMETER_ERRORS)
