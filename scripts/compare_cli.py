@@ -15,11 +15,13 @@ with the option values below, so capacity and validation refusals are
 compared too.  ``compute`` and ``tail`` run with their options below on
 the fixtures, the CSV pair, the model with zero-prior atoms and two seeded
 wide models (16 and 64 inputs by 2000 outcomes), whose reports carry one
-float per outcome.  ``continuous`` runs each family, given as a fixture
-file and inline, with the options below: negative and exponent outcomes,
-``=`` forms, abbreviations and grid checks with inline and file grids.
-Last come argv on which argparse exits: help, ``--version`` and usage
-errors, whose exit code 2 and stderr are compared.
+float per outcome, and ``compute`` also reads a CSV pair whose channel has
+a blank line before its bad cell, so the error names the file's line.
+``continuous`` runs each family, given as a fixture file and inline, with
+the options below: negative and exponent outcomes, ``=`` forms,
+abbreviations, grid checks with inline and file grids, and a grid file
+without ``--check-grid``.  Last come argv on which argparse exits: help,
+``--version`` and usage errors, whose exit code 2 and stderr are compared.
 
 Exits 0 when every request matches and 1 otherwise.
 """
@@ -38,6 +40,9 @@ import numpy as np
 FIXTURES = ("cap10x8.json", "poisson_binomial_lam2_p05.json", "identity4.json",
             "geometric_binary_p03_q05.json", "bad_rowsum.json")
 CSV_PAIR = ("identity4_channel.csv", "identity4_prior.csv")
+#: a channel CSV whose bad cell, on line 4, follows a blank line, and its prior
+BLANK_LINE_PAIR = {"blank_line_channel.csv": "a,b\n\n0.5,0.5\n0.5,x\n",
+                   "blank_line_prior.csv": "x0,0.5\nx1,0.5\n"}
 #: (inputs, outputs) of the seeded full-support models
 SHAPES = ((10, 8), (12, 6), (16, 7), (20, 8))
 OPTIONS = (
@@ -74,6 +79,7 @@ CONTINUOUS_OPTIONS = (
     ["--outcome", "1", "--check-grid"],
     ["--check-grid", "--outcome", "-1.5", "--grid", '{"points": 4096, "refine": 4}'],
     ["--outcome", "0.5", "--grid", "grid.json", "--check-grid"],
+    ["--outcome", "1", "--grid", "grid.json"],
 )
 GRID = {"points": 2048, "refine": 8, "quantile_clip": 1e-10}
 #: argv on which argparse exits: help, version and usage errors
@@ -112,6 +118,8 @@ def write_inputs(change: Path, directory: Path) -> tuple:
     for name in FIXTURES + CSV_PAIR + tuple(families):
         shutil.copyfile(change / "fixtures" / name, directory / name)
     (directory / "grid.json").write_text(json.dumps(GRID), encoding="utf-8")
+    for name, text in BLANK_LINE_PAIR.items():
+        (directory / name).write_text(text, encoding="utf-8")
     specs = families + [json.dumps(json.loads((directory / name).read_text(encoding="utf-8")))
                         for name in families]
     inputs = [[name] for name in FIXTURES] + [list(CSV_PAIR)]
@@ -167,6 +175,7 @@ def main(argv: list) -> int:
                     for model in verify_inputs for options in OPTIONS]
         requests += [(command, [command, *model, *options])
                      for model in report_inputs for command, *options in REPORT_OPTIONS]
+        requests.append(("compute", ["compute", *BLANK_LINE_PAIR]))
         requests += [("continuous", ["continuous", *family, *options])
                      for family in families for options in CONTINUOUS_OPTIONS]
         requests += [("argparse exit", argv) for argv in ARGPARSE_EXITS]

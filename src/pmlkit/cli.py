@@ -2,8 +2,10 @@
 
 Subcommands: ``compute`` (leakage profiles), ``verify`` (adversary
 oracles against the pipeline), ``continuous`` (closed-form families),
-``tail`` (exceedance probabilities).  Reports are deterministic JSON on
-stdout; ``--format csv`` switches the profile/tail tables to CSV.
+``tail`` (exceedance probabilities).  Each handler returns its exit code
+and its report: a dict of its own keys, or finished CSV text for
+``--format csv``.  ``main`` adds the header keys to a dict, encodes it as
+deterministic JSON and writes the report once, to ``--output`` or stdout.
 
 Exit codes: 0 success, 1 validation failure, 2 oracle-guarantee
 violation, 3 capacity/capability error.  argparse usage errors also exit
@@ -38,10 +40,12 @@ from .leakage import (
     LN2,
     LeakageProfile,
     leakage_profile,
+    maximal_leakage,
+    mean_leakage,
     pml,
     tail_probability,
 )
-from .modelio import load_model, profile_document
+from .modelio import load_model
 from .oracles import (
     GainFunction,
     gain_ratio,
@@ -62,18 +66,6 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 #: json's indented encoder, which writes a scalar (or refuses NaN) as json.dumps(indent=2) does
 _scalar = json.JSONEncoder(indent=2, allow_nan=False).encode
 _str = json.encoder.encode_basestring_ascii
-
-
-def _header(args, model: JointModel = None) -> dict:
-    head = {
-        "tool": "pmlkit",
-        "version": __version__,
-        "units": args.units,
-        "seed": args.seed,
-    }
-    if model is not None:
-        head["truncation_deficit"] = model.prior.truncation_deficit
-    return head
 
 
 def _json(document: dict) -> str:
@@ -111,39 +103,39 @@ def _csv(header_row, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, text: str) -> None:
-    """Write a finished report to ``--output``, or to stdout."""
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def profile_document(profile: LeakageProfile, units: str = "nats") -> dict:
+    """Machine-readable leakage profile export.
+
+    Values are plain floats; the report writer spells any infinity.
+    """
+    return {
+        "units": units,
+        "outcomes": list(profile.outcomes.symbols),
+        "leakage": profile.in_units(units).tolist(),
+        "p_y": profile.weights.probs.tolist(),
+        "maximal_leakage": maximal_leakage(profile).in_units(units),
+        "mean_leakage": mean_leakage(profile).in_units(units),
+    }
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> tuple:
     model = load_model(args.channel, args.prior)
     units = args.units
     if args.outcome is not None:
         y = _parse_outcome(args.outcome, model.output_alphabet)
-        value = pml(model, y)
-        doc = _header(args, model)
-        doc.update({"command": "compute", "outcome": y, "leakage": value.in_units(units)})
-        _emit(args, _json(doc))
-        return EXIT_OK
-    profile = leakage_profile(model)
-    if args.format == "csv":
-        columns = (
-            profile.outcomes.symbols,
-            profile.weights.probs.tolist(),
-            profile.in_units(units).tolist(),
-        )
-        _emit(args, _csv(("outcome", "p_y", f"leakage_{units}"), columns))
-        return EXIT_OK
-    doc = _header(args, model)
-    doc["command"] = "compute"
-    doc["profile"] = profile_document(profile, units)
-    _emit(args, _json(doc))
-    return EXIT_OK
+        report = {"outcome": y, "leakage": pml(model, y).in_units(units)}
+    else:
+        profile = leakage_profile(model)
+        if args.format == "csv":
+            columns = (
+                profile.outcomes.symbols,
+                profile.weights.probs.tolist(),
+                profile.in_units(units).tolist(),
+            )
+            return EXIT_OK, _csv(("outcome", "p_y", f"leakage_{units}"), columns)
+        report = {"profile": profile_document(profile, units)}
+    report["truncation_deficit"] = model.prior.truncation_deficit
+    return EXIT_OK, report
 
 
 def _parse_outcome(raw: str, alphabet: Alphabet):
@@ -165,69 +157,58 @@ def _random_gain(rng, model: JointModel) -> GainFunction:
     return GainFunction(model.input_alphabet, Alphabet(labels), gains)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     if math.isnan(args.eps):  # every report echoes it
         raise ValidationError(f"--eps must be a number, got {args.eps!r}")
     if args.oracle == "strategies" and args.gains < 1:
         raise ValidationError(f"--gains must be >= 1 for the strategies oracle, got {args.gains}")
     model = load_model(args.channel, args.prior)
-    if args.oracle == "strategies":
+    n = model.input_alphabet.size
+    k = min(args.max_groups, n)
+    if args.oracle == "strategies":  # only this oracle loads numpy.random
         rng = np.random.default_rng(args.seed)
         gains = [_random_gain(rng, model) for _ in range(args.gains)]
+
+    def strategies_hold(y, value) -> bool:
+        checks = [randomized_strategy_check(model, y, g, args.resolution) for g in gains]
+        bounded = [math.log(gain_ratio(model, y, g)) <= value + GAP_TOL for g in gains]
+        return all(checks) and all(bounded)
+
+    # oracle -> (its value at y, where the pipeline reads value; the band value - oracle must lie
+    # in, open above where fewer than |X| groups make the functions oracle a lower bound; a
+    # pass/fail check, or None: the strategy checks report the leakage itself and a 0.0 gap)
+    oracle_at, low, high, holds = {
+        "subset": (lambda y, value: subset_oracle(model, y), -GAP_TOL, GAP_TOL, None),
+        "partition": (lambda y, value: partition_oracle(model, y, args.eps),
+                      -1e-12, args.eps + 1e-12, None),
+        "functions": (lambda y, value: randomized_function_oracle(model, y, k),
+                      -GAP_TOL, GAP_TOL if k >= n else math.inf, None),
+        "strategies": (lambda y, value: value, 0.0, 0.0, strategies_hold),
+    }[args.oracle]
     rows = []
-    all_ok = True
-    lower_bound_mode = False
     pmls = leakage_profile(model).nats_array().tolist()
     for y, w, value in zip(model.output_alphabet.symbols, model.marginal.probs, pmls):
-        if w <= 0:
-            continue
-        row = {"outcome": y, "p_y": float(w), "pml": value}
-        if args.oracle == "subset":
-            oracle = subset_oracle(model, y)
+        if w > 0:
+            oracle = oracle_at(y, value)
             gap = value - oracle
-            ok = abs(gap) <= GAP_TOL
-        elif args.oracle == "partition":
-            oracle = partition_oracle(model, y, args.eps)
-            gap = value - oracle
-            ok = -1e-12 <= gap <= args.eps + 1e-12
-        elif args.oracle == "functions":
-            k = min(args.max_groups, model.input_alphabet.size)
-            oracle = randomized_function_oracle(model, y, k)
-            gap = value - oracle
-            if k >= model.input_alphabet.size:
-                ok = abs(gap) <= GAP_TOL
-            else:
-                lower_bound_mode = True
-                ok = gap >= -GAP_TOL
-        else:  # strategies
-            checks = [randomized_strategy_check(model, y, g, args.resolution) for g in gains]
-            bounded = [
-                math.log(gain_ratio(model, y, g)) <= value + GAP_TOL for g in gains
-            ]
-            oracle = value
-            gap = 0.0
-            ok = all(checks) and all(bounded)
-        row.update({"oracle": oracle, "gap": gap, "ok": ok})
-        rows.append(row)
-        all_ok = all_ok and ok
-    doc = _header(args, model)
-    doc.update(
-        {
-            "command": "verify",
-            "oracle": args.oracle,
-            "parameters": {
-                "eps": args.eps,
-                "max_groups": args.max_groups,
-                "gains": args.gains,
-                "resolution": args.resolution,
-            },
-            "lower_bound": lower_bound_mode,
-            "rows": rows,
-            "all_ok": all_ok,
-        }
-    )
-    _emit(args, _json(doc))
-    return EXIT_OK if all_ok else EXIT_ORACLE
+            ok = low <= gap <= high and (holds is None or holds(y, value))
+            rows.append({"outcome": y, "p_y": float(w), "pml": value,
+                         "oracle": oracle, "gap": gap, "ok": ok})
+    all_ok = all(row["ok"] for row in rows)
+    report = {
+        "truncation_deficit": model.prior.truncation_deficit,
+        "oracle": args.oracle,
+        "parameters": {
+            "eps": args.eps,
+            "max_groups": args.max_groups,
+            "gains": args.gains,
+            "resolution": args.resolution,
+        },
+        "lower_bound": high == math.inf,
+        "rows": rows,
+        "all_ok": all_ok,
+    }
+    return (EXIT_OK if all_ok else EXIT_ORACLE), report
 
 
 def _load_spec(raw: str, what: str, keys=None) -> dict:
@@ -243,41 +224,38 @@ def _load_spec(raw: str, what: str, keys=None) -> dict:
     return spec
 
 
-def cmd_continuous(args) -> int:
+def cmd_continuous(args) -> tuple:
+    if args.grid is not None and not args.check_grid:
+        raise ValidationError("--grid needs --check-grid")
     spec = _load_spec(args.family, "family spec", ("family", "params"))
     if "family" not in spec:
         raise ValidationError(f"family spec must hold the key 'family', got {spec!r}")
     model = ClosedFormModel(spec["family"], spec.get("params", {}))
     y = float(args.outcome)
     closed = pml_closed_form(model, y)
-    doc = _header(args)
-    doc.update(
-        {
-            "command": "continuous",
-            "family": model.family,
-            "params": dict(model.params),
-            "outcome": y,
-            "closed_form": closed.in_units(args.units),
-        }
-    )
-    if args.check_grid:
-        spec = _load_spec(args.grid, "grid spec", GridSpec().to_dict()) if args.grid else {}
-        grid = GridSpec(**spec)
-        doc["grid"] = grid.to_dict()
-        try:
-            density = to_density_model(model, grid.quantile_clip)
-        except CapabilityError as exc:
-            doc["grid_check"] = {"error": str(exc)}
-            _emit(args, _json(doc))
-            return EXIT_CAPACITY
-        result = pml_density(density, y, grid)
-        doc["grid_check"] = {
-            "value": result.value.in_units(args.units),
-            "gap": closed.in_units(args.units) - result.value.in_units(args.units),
-            "argmax_x": result.argmax_x,
-        }
-    _emit(args, _json(doc))
-    return EXIT_OK
+    report = {
+        "family": model.family,
+        "params": dict(model.params),
+        "outcome": y,
+        "closed_form": closed.in_units(args.units),
+    }
+    if not args.check_grid:
+        return EXIT_OK, report
+    spec = _load_spec(args.grid, "grid spec", GridSpec().to_dict()) if args.grid else {}
+    grid = GridSpec(**spec)
+    report["grid"] = grid.to_dict()
+    try:
+        density = to_density_model(model, grid.quantile_clip)
+    except CapabilityError as exc:
+        report["grid_check"] = {"error": str(exc)}
+        return EXIT_CAPACITY, report
+    result = pml_density(density, y, grid)
+    report["grid_check"] = {
+        "value": result.value.in_units(args.units),
+        "gap": closed.in_units(args.units) - result.value.in_units(args.units),
+        "argmax_x": result.argmax_x,
+    }
+    return EXIT_OK, report
 
 
 def _cdf(profile: LeakageProfile, units: str):
@@ -297,7 +275,7 @@ def _cdf(profile: LeakageProfile, units: str):
     return values[starts], 1.0 - above
 
 
-def cmd_tail(args) -> int:
+def cmd_tail(args) -> tuple:
     model = load_model(args.channel, args.prior)
     profile = leakage_profile(model)
     rows = []
@@ -306,19 +284,13 @@ def cmd_tail(args) -> int:
         rows.append({"eps": eps, "tail_probability": tail_probability(profile, eps_nats)})
     if args.format == "csv":
         columns = ([r["eps"] for r in rows], [r["tail_probability"] for r in rows])
-        _emit(args, _csv(("eps", "tail_probability"), columns))
-        return EXIT_OK
+        return EXIT_OK, _csv(("eps", "tail_probability"), columns)
     values, cdf = _cdf(profile, args.units)
-    doc = _header(args, model)
-    doc.update(
-        {
-            "command": "tail",
-            "rows": rows,
-            "cdf": {"leakage": values.tolist(), "probability": cdf.tolist()},
-        }
-    )
-    _emit(args, _json(doc))
-    return EXIT_OK
+    return EXIT_OK, {
+        "truncation_deficit": model.prior.truncation_deficit,
+        "rows": rows,
+        "cdf": {"leakage": values.tolist(), "probability": cdf.tolist()},
+    }
 
 
 _UNITS = ("--units", dict(dest="units", choices=("nats", "bits"), default="nats"))
@@ -459,7 +431,16 @@ def _read(argv) -> Optional[argparse.Namespace]:
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code, report = args.func(args)
+        if isinstance(report, dict):
+            report = _json({"tool": "pmlkit", "version": __version__, "units": args.units,
+                            "seed": args.seed, "command": args.command, **report})
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        else:
+            sys.stdout.write(report)
+        return code
     except (CapacityError, CapabilityError) as exc:
         print(f"pmlkit: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -1,4 +1,4 @@
-"""Reading and writing models and leakage reports.
+"""Reading and writing models.
 
 JSON model files carry the whole model:
 
@@ -32,7 +32,6 @@ from .distributions import (
     JointModel,
 )
 from .errors import ValidationError
-from .leakage import LeakageProfile, maximal_leakage, mean_leakage
 
 PathLike = Union[str, Path]
 #: the JSON type of each type json.load returns
@@ -130,15 +129,16 @@ def save_model_json(model: JointModel, path: PathLike) -> None:
 def load_prior_csv(path: PathLike) -> DiscreteDistribution:
     symbols, probs = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        for row in reader:  # line_num is the file's line, after a quoted line break too
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 2:
                 raise ValidationError(
-                    f"{path}: line {lineno}: expected 'symbol,probability'"
+                    f"{path}: line {reader.line_num}: expected 'symbol,probability'"
                 )
             symbols.append(_symbol_from_text(row[0].strip()))
-            probs.append(_parse_float(row[1].strip(), f"{path}: line {lineno}"))
+            probs.append(_parse_float(row[1].strip(), f"{path}: line {reader.line_num}"))
     return DiscreteDistribution(Alphabet(symbols), probs)
 
 
@@ -151,12 +151,13 @@ def _symbol_from_text(text: str):
 
 def load_channel_csv(path: PathLike, input_alphabet: Alphabet) -> DiscreteChannel:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        reader = csv.reader(fh)  # each row with its file line: blank lines are dropped
+        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     if not rows:
         raise ValidationError(f"{path}: empty channel file")
-    output_alphabet = Alphabet([_symbol_from_text(c.strip()) for c in rows[0]])
+    output_alphabet = Alphabet([_symbol_from_text(c.strip()) for c in rows[0][1]])
     matrix = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != output_alphabet.size:
             raise ValidationError(
                 f"{path}: line {lineno}: expected {output_alphabet.size} columns, got {len(row)}"
@@ -180,17 +181,3 @@ def load_model(channel_path: PathLike, prior_path: PathLike = None) -> JointMode
     channel = load_channel_csv(channel_path, prior.alphabet)
     return JointModel(prior, channel)
 
-
-def profile_document(profile: LeakageProfile, units: str = "nats") -> dict:
-    """Machine-readable leakage profile export.
-
-    Values are plain floats; the report writer spells any infinity.
-    """
-    return {
-        "units": units,
-        "outcomes": list(profile.outcomes.symbols),
-        "leakage": profile.in_units(units).tolist(),
-        "p_y": profile.weights.probs.tolist(),
-        "maximal_leakage": maximal_leakage(profile).in_units(units),
-        "mean_leakage": mean_leakage(profile).in_units(units),
-    }

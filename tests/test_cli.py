@@ -9,13 +9,14 @@ from pmlkit import (
     DiscreteChannel,
     DiscreteDistribution,
     JointModel,
+    geometric_binary_model,
     leakage_profile,
     tail_probability,
 )
 from pmlkit import cli
 from pmlkit.cli import main
 from pmlkit.continuous import MAX_QUANTILE_CLIP
-from pmlkit.modelio import save_model_json
+from pmlkit.modelio import load_model, save_model_json
 from conftest import make_fixtures, random_full_support_model
 
 
@@ -161,6 +162,55 @@ def test_verify_capacity_exit_code(capsys, fixtures_dir):
     assert "cap" in err
 
 
+def _oracle_above_pml(model, y, *rest):
+    """A broken oracle: one nat above the pipeline's leakage at ``y``."""
+    return cli.pml(model, y).nats + 1.0
+
+
+@pytest.mark.parametrize(
+    "oracle, patched, fake, options",
+    [
+        ("subset", "subset_oracle", _oracle_above_pml, []),
+        ("partition", "partition_oracle", _oracle_above_pml, ["--eps", "0.05"]),
+        ("functions", "randomized_function_oracle", _oracle_above_pml, ["--max-groups", "2"]),
+        ("functions", "randomized_function_oracle", _oracle_above_pml, ["--max-groups", "5"]),
+        ("strategies", "randomized_strategy_check", lambda *args: False, ["--gains", "2"]),
+    ],
+    ids=["subset", "partition", "functions_lower_bound", "functions_exact", "strategies"],
+)
+def test_oracle_disagreement_exits_two(capsys, random_model_file, tmp_path, monkeypatch,
+                                       oracle, patched, fake, options):
+    monkeypatch.setattr(cli, patched, fake)
+    argv = ["verify", str(random_model_file), "--oracle", oracle, *options]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert doc["all_ok"] is False and doc["oracle"] == oracle
+    model = load_model(random_model_file)
+    assert len(doc["rows"]) == model.output_alphabet.size
+    for row in doc["rows"]:
+        assert row["ok"] is False
+        if oracle == "strategies":
+            assert (row["oracle"], row["gap"]) == (row["pml"], 0.0)
+        else:
+            assert row["oracle"] == _oracle_above_pml(model, row["outcome"])
+            assert row["gap"] == row["pml"] - row["oracle"]
+    target = tmp_path / "report.json"
+    assert run(capsys, *argv, "--output", str(target)) == (2, "", "")
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_grid_refusal_writes_its_report_to_output(capsys, fixtures_dir, tmp_path):
+    argv = ["continuous", "--family", str(fixtures_dir / "family_poisson_binomial.json"),
+            "--outcome", "3", "--check-grid"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "")
+    assert json.loads(out)["grid_check"]["error"].startswith("grid checks require")
+    target = tmp_path / "refusal.json"
+    assert run(capsys, *argv, "--output", str(target)) == (3, "", "")
+    assert target.read_text(encoding="utf-8") == out
+
+
 def test_continuous_additive_gaussian(capsys, fixtures_dir):
     doc = run_json(
         capsys, "continuous",
@@ -247,6 +297,16 @@ def test_quantile_clip_above_bound_exits_one(capsys, fixtures_dir):
     assert code == 1 and out == ""
     assert "quantile_clip must lie in (0, 4.9e-07], got 1e-06" in err
     assert "integrates" not in err
+
+
+@pytest.mark.parametrize(
+    "family", ["family_gaussian_mixture.json", "no_such_family.json"], ids=["fixture", "missing"]
+)
+def test_grid_without_check_grid_exits_one(capsys, fixtures_dir, family):
+    # the check runs before the family spec is read, so a missing spec file is not reported
+    code, out, err = run(capsys, "continuous", "--family", str(fixtures_dir / family),
+                         "--outcome", "1", "--grid", '{"bogus": 1}')
+    assert (code, out, err) == (1, "", "pmlkit: validation error: --grid needs --check-grid\n")
 
 
 def test_continuous_parameter_error(capsys):
@@ -422,6 +482,17 @@ def test_gains_are_unused_outside_strategies(capsys, fixtures_dir):
     doc = run_json(capsys, "verify", str(fixtures_dir / "identity4.json"),
                    "--oracle", "subset", "--gains", "0")
     assert doc["all_ok"] and doc["parameters"]["gains"] == 0
+
+
+def test_profile_document_units():
+    profile = leakage_profile(geometric_binary_model(0.3, 0.5))
+    nats = cli.profile_document(profile, "nats")
+    bits = cli.profile_document(profile, "bits")
+    assert bits["leakage"][0] == pytest.approx(nats["leakage"][0] / math.log(2))
+    assert nats["units"] == "nats" and bits["units"] == "bits"
+    assert set(nats) == {
+        "units", "outcomes", "leakage", "p_y", "maximal_leakage", "mean_leakage",
+    }
 
 
 def test_reports_refuse_nan():

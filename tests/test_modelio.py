@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -11,14 +10,12 @@ from pmlkit import (
     JointModel,
     discretize_poisson_binomial,
     geometric_binary_model,
-    leakage_profile,
 )
 from pmlkit.cli import main
 from pmlkit.errors import ValidationError
 from pmlkit.modelio import (
     load_model,
     load_model_json,
-    profile_document,
     save_model_json,
 )
 from conftest import random_full_support_model
@@ -91,17 +88,6 @@ def test_csv_row_count_mismatch(tmp_path):
     prior.write_text("x0,0.5\nx1,0.5\n")
     with pytest.raises(ValidationError, match="rows"):
         load_model(channel, prior)
-
-
-def test_profile_document_units():
-    profile = leakage_profile(geometric_binary_model(0.3, 0.5))
-    nats = profile_document(profile, "nats")
-    bits = profile_document(profile, "bits")
-    assert bits["leakage"][0] == pytest.approx(nats["leakage"][0] / math.log(2))
-    assert nats["units"] == "nats" and bits["units"] == "bits"
-    assert set(nats) == {
-        "units", "outcomes", "leakage", "p_y", "maximal_leakage", "mean_leakage",
-    }
 
 
 def _deficit_channel_model():
@@ -301,15 +287,22 @@ def test_ragged_channel_message_is_numpys(tmp_path, capsys):
          "{prior}: line 1: expected 'symbol,probability'"),
         ("0,1\n1,0\n0,1\n", "x0,0.5\nx1,abc\n", "{prior}: line 2: 'abc' is not a decimal number"),
         ("0,1\n1,0\n0,1\n", "x0,nan\nx1,0.5\n", "{prior}: line 1: NaN is not a probability"),
+        ("0,1\n1,0\n0,1\n", '"x\n0",0.5\nx1,abc\n',
+         "{prior}: line 3: 'abc' is not a decimal number"),
         ("0,1\n1,0,0\n0,1\n", "x0,0.5\nx1,0.5\n", "{channel}: line 2: expected 2 columns, got 3"),
         ("0,1\n1,0\n0.5,abc\n", "x0,0.5\nx1,0.5\n",
          "{channel}: line 3: 'abc' is not a decimal number"),
+        ("a,b\n\n0.5,0.5\n0.5,x\n", "x0,0.5\nx1,0.5\n",
+         "{channel}: line 4: 'x' is not a decimal number"),
+        ("a,b\n0.5,0.5\n\n0.5\n", "x0,0.5\nx1,0.5\n",
+         "{channel}: line 4: expected 2 columns, got 1"),
         ("0,1\n1,0\n", "x0,0.5\nx1,0.5\n", "{channel}: 1 channel rows for 2 prior symbols"),
         ("\n", "x0,0.5\nx1,0.5\n", "{channel}: empty channel file"),
         ("0,1\n1,0\n0,1\n", None, "CSV channels require a separate prior file"),
     ],
-    ids=["prior_fields", "prior_number", "prior_nan", "channel_columns", "channel_number",
-         "channel_rows", "channel_empty", "no_prior"],
+    ids=["prior_fields", "prior_number", "prior_nan", "prior_number_after_quoted_line_break",
+         "channel_columns", "channel_number", "channel_number_after_blank_line",
+         "channel_columns_after_blank_line", "channel_rows", "channel_empty", "no_prior"],
 )
 def test_csv_error_texts(tmp_path, capsys, channel_text, prior_text, reason):
     channel = tmp_path / "ch.csv"
