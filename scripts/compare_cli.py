@@ -9,8 +9,9 @@ as ``python -m pmlkit.cli`` in a fresh interpreter with that checkout's
 ``src/`` first on the path, from one temporary directory holding the
 inputs, so both sides read the same files under the same names.  The inputs
 are the model and family fixtures of CHANGE plus seeded Dirichlet models
-(the shapes the benchmark's ``verify_mix`` uses, and one with zero-prior
-atoms and outcomes no input produces).  Every oracle runs on every input
+(the shapes the benchmark's ``verify_mix`` uses, one with zero-prior atoms
+and outcomes no input produces, and one with 11 and one with 21 inputs, on
+either side of the event oracles' cap).  Every oracle runs on every input
 with the option values below, so capacity and validation refusals are
 compared too.  ``compute`` and ``tail`` run with their options below on
 the fixtures, the CSV pair, the model with zero-prior atoms and two seeded
@@ -56,6 +57,9 @@ OPTIONS = (
 )
 #: (inputs, outputs) of the seeded wide models, which only compute and tail read
 WIDE_SHAPES = ((16, 2000), (64, 2000))
+#: (inputs, outputs) of seeded full-support models around the event oracles'
+#: cap of 20, drawn last so that no earlier input changes
+CAP_SHAPES = ((11, 6), (21, 6))
 #: each outcome option names an outcome of some inputs and of no other
 REPORT_OPTIONS = (
     *(["compute", *options] for options in (
@@ -142,6 +146,10 @@ def write_inputs(change: Path, directory: Path) -> tuple:
         name = f"wide{n}x{m}.json"
         _write_model(directory / name, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m), n))
         wide.append([name])
+    for n, m in CAP_SHAPES:
+        name = f"dirichlet{n}x{m}.json"
+        _write_model(directory / name, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m), n))
+        inputs.append([name])
     reports = [[name] for name in FIXTURES] + [list(CSV_PAIR), ["zeros9x6.json"], *wide]
     return inputs, reports, [["--family", spec] for spec in specs]
 

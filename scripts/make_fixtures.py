@@ -61,13 +61,12 @@ def golden_argv(name):
 
 
 def cap_model():
-    """A full-support model at the function oracle's input cap (10 inputs, 8
-    outcomes), from integer weights: the prior's are 1 to 10, and row i of
-    the channel weighs outcome j by 1 + ((i + 1)(j + 2) mod 11), from 2 to 11."""
+    """A full-support model with 10 inputs and 8 outcomes, from integer
+    weights: the prior's are 1 to 10, and row i of the channel weighs
+    outcome j by 1 + ((i + 1)(j + 2) mod 11), from 2 to 11."""
     from pmlkit import Alphabet, DiscreteChannel, DiscreteDistribution, JointModel
-    from pmlkit.oracles import FUNCTION_ALPHABET_CAP
 
-    n, m = FUNCTION_ALPHABET_CAP, 8
+    n, m = 10, 8
     xs = Alphabet(list(range(n)))
     prior = np.arange(1, n + 1, dtype=float)
     i, j = np.indices((n, m))

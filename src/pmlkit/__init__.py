@@ -12,7 +12,6 @@ from .distributions import (
     geometric_binary_model,
     identity_channel,
     marginal,
-    point_mass,
     posterior,
     truncate_countable,
     uniform,

@@ -141,12 +141,6 @@ def uniform(alphabet: Alphabet) -> DiscreteDistribution:
     return DiscreteDistribution(alphabet, np.full(n, 1.0 / n))
 
 
-def point_mass(alphabet: Alphabet, symbol: Symbol) -> DiscreteDistribution:
-    probs = np.zeros(alphabet.size)
-    probs[alphabet.index(symbol)] = 1.0
-    return DiscreteDistribution(alphabet, probs)
-
-
 @dataclasses.dataclass(frozen=True)
 class DiscreteChannel:
     """Row-stochastic conditional family P_{Y|X}.
@@ -217,10 +211,25 @@ def marginal(
     The deficit is rebuilt as ``1 - sum(P_Y)`` so that it also absorbs
     any mass lost to truncated channel rows; for exact rows this equals
     the prior's deficit up to floating rounding.
+
+    The matrix product may fuse and reorder its roundings.  Below
+    ``tiny * |X|`` that can leave P_Y(y) a whole subnormal away from the
+    sum of the rounded products ``P_X(x) P_{Y|X=x}(y)``, which ``posterior``
+    and the leakage kernel divide by it, and the posterior then fails its
+    law check.  Those entries are recomputed as the sum of the rounded
+    products, so each posterior sums to 1.  The products themselves round
+    to subnormals, each within u = 2^-1075 of its exact value, so each
+    posterior entry of such an outcome is only within about
+    2 |X| u / P_Y(y) of the exact one, and its leakage reads accordingly:
+    with prior [0.5, 0.5, 0] and P_{Y|X}(y) = [19, 10, 15] * 5e-324 the
+    products round to 10 and 5 subnormals, and pml gives log(4/3) =
+    0.28768 nats where the exact value is log(38/29) = 0.27029.
     """
     if prior.alphabet.symbols != channel.input_alphabet.symbols:
         raise AlphabetMismatchError("prior alphabet does not match channel input alphabet")
     probs = prior.probs @ channel.matrix
+    small = np.flatnonzero(probs < np.finfo(float).tiny * prior.alphabet.size)
+    probs[small] = (prior.probs[:, None] * channel.matrix[:, small]).sum(axis=0)
     deficit = max(0.0, 1.0 - float(probs.sum()))
     return DiscreteDistribution(channel.output_alphabet, probs, deficit)
 

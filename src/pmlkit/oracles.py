@@ -34,10 +34,8 @@ from .errors import (
     ValidationError,
 )
 
-#: largest input alphabet for subset enumeration (2^n events)
+#: largest input alphabet for the subset and function oracles, which score 2^n events
 SUBSET_CAP = 20
-#: largest input alphabet for the function adversary, which scores its 2^n events
-FUNCTION_ALPHABET_CAP = 10
 #: largest estimate alphabet / resolution for simplex enumeration
 STRATEGY_ALPHABET_CAP = 4
 STRATEGY_RESOLUTION_CAP = 50
@@ -68,14 +66,17 @@ class GainFunction:
         return probs @ self.gains
 
 
-#: posterior(model, y), built and law-checked once per (model, y) while the
-#: caller stays on one outcome; models hash by identity
-_posterior = lru_cache(maxsize=1)(posterior)
+@lru_cache(maxsize=1)
+def _posterior(model: JointModel, y: Symbol) -> DiscreteDistribution:
+    """posterior(model, y), built and law-checked once per (model, y) while
+    the caller stays on one outcome; models hash by identity.
 
-
-def _require_positive_outcome(model: JointModel, y: Symbol) -> None:
+    Every oracle reads its posterior here, so this is where an outcome of
+    zero probability, which conditions nothing, is refused.
+    """
     if model.marginal.prob(y) <= 0.0:
         raise ValidationError(f"outcome {y!r} has zero probability")
+    return posterior(model, y)
 
 
 def gain_ratio(model: JointModel, y: Symbol, g: GainFunction) -> float:
@@ -88,7 +89,6 @@ def gain_ratio(model: JointModel, y: Symbol, g: GainFunction) -> float:
     """
     if g.x_alphabet.symbols != model.input_alphabet.symbols:
         raise AlphabetMismatchError("gain function secret alphabet does not match model")
-    _require_positive_outcome(model, y)
     num = float(np.max(g.expected_gain(_posterior(model, y).probs)))
     den = float(np.max(g.expected_gain(model.prior.probs)))
     if den == 0.0:
@@ -128,8 +128,15 @@ def _event_ratios(model: JointModel, y: Symbol) -> np.ndarray:
     """P_{X|y}(A) / P_X(A) for every event A, indexed by its bit mask.
 
     Bayes inversion gives a null event no posterior mass, so its 0/0 reads
-    1, as in _set_ratios; no other event divides by zero.
+    1, as in _set_ratios; no other event divides by zero.  Both the subset
+    and the function oracle score these 2^n events, so the input alphabet
+    is capped at SUBSET_CAP symbols.
     """
+    n = model.input_alphabet.size
+    if n > SUBSET_CAP:
+        raise CapacityError(
+            f"subset and function oracles enumerate 2^n events; n={n} exceeds cap {SUBSET_CAP}"
+        )
     ratios = _subset_sums(_posterior(model, y).probs)
     prior_sums, null = _prior_events(model.prior)
     with np.errstate(invalid="ignore"):
@@ -139,17 +146,7 @@ def _event_ratios(model: JointModel, y: Symbol) -> np.ndarray:
 
 
 def subset_oracle(model: JointModel, y: Symbol) -> float:
-    """log max over all non-empty events A of P_{X|y}(A) / P_X(A).
-
-    Enumerates all 2^n - 1 events, so the input alphabet is capped at
-    SUBSET_CAP symbols.
-    """
-    n = model.input_alphabet.size
-    if n > SUBSET_CAP:
-        raise CapacityError(
-            f"subset oracle enumerates 2^n events; n={n} exceeds cap {SUBSET_CAP}"
-        )
-    _require_positive_outcome(model, y)
+    """log max over all non-empty events A of P_{X|y}(A) / P_X(A)."""
     # the full event's ratio is about 1, so the maximum is positive
     return math.log(float(_event_ratios(model, y)[1:].max()))
 
@@ -180,7 +177,6 @@ class PartitionGain:
 def build_partition_gain(model: JointModel, y: Symbol, epsilon: float) -> PartitionGain:
     if not 0 < epsilon < math.inf:
         raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
-    _require_positive_outcome(model, y)
     post = _posterior(model, y).probs
     prior = model.prior.probs
     cells: Dict[float, list] = {}
@@ -211,20 +207,16 @@ def shattering_value(
     The construction's full channel has unbounded alphabet; only its
     achieved value is computed.
     """
-    _require_positive_outcome(model, y)
+    post = _posterior(model, y).probs
     missing = [x for x in model.input_alphabet if x not in grouping]
     if missing:
         raise ValidationError(f"grouping is not total on E; missing {missing[:3]!r}")
     groups = sorted({grouping[x] for x in model.input_alphabet}, key=repr)
     index = {g: i for i, g in enumerate(groups)}
-    post = _posterior(model, y).probs
-    prior = model.prior.probs
-    post_w = np.zeros(len(groups))
-    prior_w = np.zeros(len(groups))
-    for i, x in enumerate(model.input_alphabet.symbols):
-        j = index[grouping[x]]
-        post_w[j] += post[i]
-        prior_w[j] += prior[i]
+    codes = np.array([index[grouping[x]] for x in model.input_alphabet.symbols])
+    # bincount adds each group's atoms in index order
+    post_w = np.bincount(codes, weights=post)
+    prior_w = np.bincount(codes, weights=model.prior.probs)
     # the groups' union has a ratio of about 1, so the maximum is positive
     return math.log(float(_set_ratios(post_w, prior_w).max()))
 
@@ -240,17 +232,10 @@ def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) ->
     {A, E \\ A}.  So the value is the largest event ratio, at least 1 (the
     empty event's 0/0 reads 1); with k = 1 the only grouping is {E}.
     """
-    n = model.input_alphabet.size
-    if n > FUNCTION_ALPHABET_CAP:
-        raise CapacityError(
-            f"function adversary enumerates groupings; |E|={n} exceeds cap "
-            f"{FUNCTION_ALPHABET_CAP}"
-        )
+    ratios = _event_ratios(model, y)  # first, so the cap binds whatever max_groups is
     if max_groups < 1:
         raise ValidationError("max_groups must be a positive integer")
-    _require_positive_outcome(model, y)
-    ratios = _event_ratios(model, y)
-    best = ratios.max() if min(max_groups, n) >= 2 else ratios[-1]
+    best = ratios.max() if min(max_groups, model.input_alphabet.size) >= 2 else ratios[-1]
     return math.log(max(1.0, float(best)))
 
 
@@ -279,6 +264,8 @@ def randomized_strategy_check(
     1e-12).  Always true by the mixture argument; this is the oracle
     confirming it numerically.
     """
+    if g.x_alphabet.symbols != model.input_alphabet.symbols:
+        raise AlphabetMismatchError("gain function secret alphabet does not match model")
     if g.estimate_alphabet.size > STRATEGY_ALPHABET_CAP:
         raise CapacityError(
             f"strategy check caps the estimate alphabet at {STRATEGY_ALPHABET_CAP}"
@@ -287,7 +274,6 @@ def randomized_strategy_check(
         raise CapacityError(
             f"simplex resolution must lie in [1, {STRATEGY_RESOLUTION_CAP}]"
         )
-    _require_positive_outcome(model, y)
     pure = g.expected_gain(_posterior(model, y).probs)
     grid = _simplex_grid(g.estimate_alphabet.size, grid_resolution)
     return not np.any(grid @ pure > float(pure.max()) + 1e-12)

@@ -162,6 +162,22 @@ def test_verify_capacity_exit_code(capsys, fixtures_dir):
     assert "cap" in err
 
 
+def test_verify_functions_shares_the_subset_cap(capsys, tmp_path):
+    rng = np.random.default_rng(197)
+    paths = {}
+    for n in (12, 21):
+        paths[n] = tmp_path / f"random{n}.json"
+        save_model_json(random_full_support_model(rng, n, 3), paths[n])
+    doc = run_json(capsys, "verify", str(paths[12]), "--oracle", "functions")
+    assert doc["all_ok"] and doc["lower_bound"]
+    for groups in ("5", "0"):
+        code, out, err = run(capsys, "verify", str(paths[21]), "--oracle", "functions",
+                             "--max-groups", groups)
+        assert (code, out) == (3, "")
+        assert err == ("pmlkit: capacity error: subset and function oracles enumerate 2^n "
+                       "events; n=21 exceeds cap 20\n")
+
+
 def _oracle_above_pml(model, y, *rest):
     """A broken oracle: one nat above the pipeline's leakage at ``y``."""
     return cli.pml(model, y).nats + 1.0

@@ -358,6 +358,29 @@ def test_bayes_division_never_overflows_on_subnormal_outcomes():
             assert posterior(model, y).probs.max() <= 1.0
 
 
+def test_subnormal_outcome_posterior_is_a_law():
+    # The matrix product may round P_Y(0) to 14 subnormals while the products
+    # the posterior divides round to 10 and 5, so the posterior summed to
+    # 15/14; P_Y of such an outcome is now the sum of those products.
+    unit = 5e-324
+    a = Alphabet(["x0", "x1", "x2"])
+    matrix = np.array([[19 * unit, 0.5, 0.25, 0.25],
+                       [10 * unit, 0.25, 0.5, 0.25],
+                       [15 * unit, 0.25, 0.25, 0.5]])
+    model = JointModel(DiscreteDistribution(a, np.array([0.5, 0.5, 0.0])),
+                       DiscreteChannel(a, Alphabet([0, 1, 2, 3]), matrix))
+    assert model.marginal.probs[0] == 15 * unit
+    post = posterior(model, 0).probs
+    assert post.tolist() == [10 / 15, 5 / 15, 0.0]
+    assert leakage_profile(model).nats_array()[0] == pml(model, 0).nats == 0.28768207245178085
+    # each product is within u = 2^-1075, half a subnormal, of its exact value,
+    # so each posterior entry is within 2 |X| u / P_Y(0) of the exact 19/29,
+    # 10/29 and 0
+    bound = 3 * unit / model.marginal.probs[0]
+    assert np.abs(post - np.array([19, 10, 0]) / 29).max() <= bound
+    assert 0 < pml(model, 0).nats - math.log(38 / 29) < 0.018
+
+
 def test_aggregates_of_an_infinite_leakage_are_infinite():
     a = Alphabet([0, 1])
     profile = LeakageProfile(a, [math.inf, 0.3], DiscreteDistribution(a, np.array([0.5, 0.5])))

@@ -27,7 +27,7 @@ from pmlkit import (
     truncate_countable,
     uniform,
 )
-from pmlkit.errors import CapacityError, ValidationError
+from pmlkit.errors import AlphabetMismatchError, CapacityError, ValidationError
 from pmlkit import cli, distributions, oracles
 from pmlkit.modelio import save_model_json
 from pmlkit.oracles import _simplex_grid
@@ -277,6 +277,16 @@ class TestStrategyCheck:
         g = GainFunction(model.input_alphabet, Alphabet([0, 1]), rng.uniform(size=(3, 2)))
         assert randomized_strategy_check(model, "y0", g, 1)
 
+    @pytest.mark.parametrize("route", [
+        lambda model, g: gain_ratio(model, "y0", g),
+        lambda model, g: randomized_strategy_check(model, "y0", g, 10),
+    ], ids=["gain_ratio", "strategy_check"])
+    def test_rejects_another_secret_alphabet(self, route):
+        model = random_full_support_model(np.random.default_rng(71), 3, 3)
+        g = GainFunction(Alphabet(["a", "b", "c"]), Alphabet([0, 1]), np.ones((3, 2)))
+        with pytest.raises(AlphabetMismatchError, match="secret alphabet does not match"):
+            route(model, g)
+
     def test_caps(self):
         rng = np.random.default_rng(71)
         model = random_full_support_model(rng, 3, 3)
@@ -457,6 +467,21 @@ def _reference_function_oracle(model, y, max_groups):
     return math.log(best)
 
 
+def _reference_shattering_value(model, y, grouping):
+    """Group masses summed one atom at a time, in index order."""
+    groups = sorted({grouping[x] for x in model.input_alphabet}, key=repr)
+    index = {g: i for i, g in enumerate(groups)}
+    post = posterior(model, y).probs
+    prior = model.prior.probs
+    post_w = np.zeros(len(groups))
+    prior_w = np.zeros(len(groups))
+    for i, x in enumerate(model.input_alphabet.symbols):
+        j = index[grouping[x]]
+        post_w[j] += post[i]
+        prior_w[j] += prior[i]
+    return math.log(_reference_best_set_ratio(post_w, prior_w))
+
+
 def _reference_simplex_grid(dim, resolution):
     for counts in itertools.product(range(resolution + 1), repeat=dim - 1):
         rest = resolution - sum(counts)
@@ -531,6 +556,17 @@ class TestArrayEnumerationAgainstReferences:
                 for k in range(1, n + 1):
                     got = randomized_function_oracle(model, y, k)
                     assert got == pytest.approx(_reference_function_oracle(model, y, k), abs=tol)
+
+    def test_shattering_value_bit_for_bit(self):
+        rng = np.random.default_rng(199)
+        for model in _seeded_models(199, 40, 12):
+            n = model.input_alphabet.size
+            for y in _outcomes(model):
+                for k in (1, 2, 3, n):
+                    labels = rng.integers(0, k, n).tolist()
+                    grouping = dict(zip(model.input_alphabet.symbols, labels))
+                    assert shattering_value(model, y, grouping) == (
+                        _reference_shattering_value(model, y, grouping))
 
     def test_strategy_check_bit_for_bit(self):
         rng = np.random.default_rng(109)
@@ -723,3 +759,51 @@ def test_binary_functions_suffice():
                 assert randomized_function_oracle(model, y, k) == expected
                 cases += 1
     assert cases > 500
+
+
+@pytest.mark.parametrize("n", [11, oracles.SUBSET_CAP])
+def test_binary_functions_suffice_up_to_the_subset_cap(n):
+    # The function oracle scores the subset oracle's events under its cap,
+    # above the ten inputs it once stopped at.
+    model = random_model_with_zeros(np.random.default_rng(181 + n), n, 3)
+    assert 0 < (model.prior.probs == 0).sum() < n
+    for y in _outcomes(model):
+        expected = max(0.0, subset_oracle(model, y))
+        for k in (2, n // 2, n + 1):
+            assert randomized_function_oracle(model, y, k) == expected
+
+
+def test_event_oracles_share_one_cap():
+    model = random_full_support_model(np.random.default_rng(191), oracles.SUBSET_CAP + 1, 2)
+    message = "subset and function oracles enumerate 2^n events; n=21 exceeds cap 20"
+    for route in (lambda: subset_oracle(model, "y0"),
+                  lambda: randomized_function_oracle(model, "y0", 2),
+                  lambda: randomized_function_oracle(model, "y0", 0)):
+        with pytest.raises(CapacityError) as exc:
+            route()
+        assert str(exc.value) == message
+
+
+def _gain(model):
+    n = model.input_alphabet.size
+    return GainFunction(model.input_alphabet, Alphabet([0, 1]), np.ones((n, 2)))
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda model, y: subset_oracle(model, y),
+    lambda model, y: partition_oracle(model, y, 0.05),
+    lambda model, y: build_partition_gain(model, y, 0.05),
+    lambda model, y: shattering_value(model, y, {x: 0 for x in model.input_alphabet}),
+    lambda model, y: shattering_value(model, y, {}),
+    lambda model, y: gain_ratio(model, y, _gain(model)),
+    lambda model, y: randomized_strategy_check(model, y, _gain(model), 10),
+    *(lambda model, y, k=k: randomized_function_oracle(model, y, k) for k in (1, 2)),
+], ids=["subset", "partition", "partition_gain", "shattering", "shattering_partial_grouping",
+        "gain_ratio", "strategies", "functions1", "functions2"])
+def test_every_oracle_refuses_a_zero_probability_outcome(oracle):
+    # Outcome "never" has P_Y = 0; a partial grouping still names the outcome.
+    a = Alphabet(["x0", "x1", "x2"])
+    matrix = np.array([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [1.0, 0.0, 0.0]])
+    model = JointModel(uniform(a), DiscreteChannel(a, Alphabet(["y0", "y1", "never"]), matrix))
+    with pytest.raises(ValidationError, match="outcome 'never' has zero probability"):
+        oracle(model, "never")
