@@ -11,13 +11,17 @@ inputs, so both sides read the same files under the same names.  The inputs
 are the model and family fixtures of CHANGE plus seeded Dirichlet models
 (the shapes the benchmark's ``verify_mix`` uses, one with zero-prior atoms
 and outcomes no input produces, and one with 11 and one with 21 inputs, on
-either side of the event oracles' cap).  Every oracle runs on every input
-with the option values below, so capacity and validation refusals are
+either side of the event oracles' cap) and a model whose prior holds a
+subnormal atom.  Every oracle runs on every input with the option values
+below, in nats and in bits, so capacity and validation refusals are
 compared too.  ``compute`` and ``tail`` run with their options below on
 the fixtures, the CSV pair, the model with zero-prior atoms and two seeded
 wide models (16 and 64 inputs by 2000 outcomes), whose reports carry one
-float per outcome, and ``compute`` also reads a CSV pair whose channel has
-a blank line before its bad cell, so the error names the file's line.
+float per outcome.  ``SINGLE_REQUESTS`` adds a CSV pair whose channel has
+a blank line before its bad cell, so the error names the file's line, a
+CSV pair with records of blank cells, an unknown outcome, a ``tail`` eps
+equal to a printed bits value, and a model whose prior and row deficits
+add up past the accepted maximum.
 ``continuous`` runs each family, given as a fixture file and inline, with
 the options below: negative and exponent outcomes, ``=`` forms,
 abbreviations, grid checks with inline and file grids, and a grid file
@@ -44,6 +48,28 @@ CSV_PAIR = ("identity4_channel.csv", "identity4_prior.csv")
 #: a channel CSV whose bad cell, on line 4, follows a blank line, and its prior
 BLANK_LINE_PAIR = {"blank_line_channel.csv": "a,b\n\n0.5,0.5\n0.5,x\n",
                    "blank_line_prior.csv": "x0,0.5\nx1,0.5\n"}
+#: a CSV pair whose files both hold "," and ",," records, which hold no value
+BLANK_CELLS_PAIR = {"blank_cells_channel.csv": "a,b\n,\n0.5,0.5\n,,\n0.25,0.75\n",
+                    "blank_cells_prior.csv": "x0,0.5\n,\nx1,0.5\n,,\n"}
+#: models written as JSON: prior and row deficits of 1e-9 each, whose marginal
+#: drops 2e-9; and a prior atom of 5e-324, whose partition cell's gain overflows
+MODELS = {
+    "deficits1e-9.json": {"alphabet_x": ["a", "b"], "alphabet_y": [0, 1],
+                          "prior": [0.5, 0.5 - 1e-9], "truncation_deficit": 1e-9,
+                          "channel": [[0.5, 0.5 - 1e-9], [0.25, 0.75 - 1e-9]],
+                          "row_deficits": [1e-9, 1e-9]},
+    "subnormal_atom.json": {"alphabet_x": [0, 1, 2], "alphabet_y": [0, 1],
+                            "prior": [0.5, 0.5, 5e-324],
+                            "channel": [[0.5, 0.5], [0.9, 0.1], [0.01, 0.99]]},
+}
+#: requests on one input each; 20.978589993105462 is outcome 13's leakage in bits
+SINGLE_REQUESTS = (
+    ["compute", *BLANK_LINE_PAIR],
+    ["compute", *BLANK_CELLS_PAIR],
+    ["compute", "identity4.json", "--outcome", "zz"],
+    ["tail", "poisson_binomial_lam2_p05.json", "--units", "bits", "--eps", "20.978589993105462"],
+    ["compute", "deficits1e-9.json"],
+)
 #: (inputs, outputs) of the seeded full-support models
 SHAPES = ((10, 8), (12, 6), (16, 7), (20, 8))
 OPTIONS = (
@@ -54,6 +80,9 @@ OPTIONS = (
     *(["--oracle", "functions", "--max-groups", k] for k in ("0", "1", "2", "4", "5", "10", "-3")),
     *(["--oracle", "strategies", "--gains", "6", "--resolution", r] for r in ("10", "20", "30")),
     ["--oracle", "strategies"],
+    ["--oracle", "partition", "--eps", "0.05", "--units", "bits"],
+    ["--oracle", "functions", "--max-groups", "4", "--units", "bits"],
+    ["--oracle", "strategies", "--gains", "6", "--units", "bits"],
 )
 #: (inputs, outputs) of the seeded wide models, which only compute and tail read
 WIDE_SHAPES = ((16, 2000), (64, 2000))
@@ -122,8 +151,10 @@ def write_inputs(change: Path, directory: Path) -> tuple:
     for name in FIXTURES + CSV_PAIR + tuple(families):
         shutil.copyfile(change / "fixtures" / name, directory / name)
     (directory / "grid.json").write_text(json.dumps(GRID), encoding="utf-8")
-    for name, text in BLANK_LINE_PAIR.items():
+    for name, text in {**BLANK_LINE_PAIR, **BLANK_CELLS_PAIR}.items():
         (directory / name).write_text(text, encoding="utf-8")
+    for name, doc in MODELS.items():
+        (directory / name).write_text(json.dumps(doc), encoding="utf-8")
     specs = families + [json.dumps(json.loads((directory / name).read_text(encoding="utf-8")))
                         for name in families]
     inputs = [[name] for name in FIXTURES] + [list(CSV_PAIR)]
@@ -150,6 +181,7 @@ def write_inputs(change: Path, directory: Path) -> tuple:
         name = f"dirichlet{n}x{m}.json"
         _write_model(directory / name, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m), n))
         inputs.append([name])
+    inputs.append(["subnormal_atom.json"])
     reports = [[name] for name in FIXTURES] + [list(CSV_PAIR), ["zeros9x6.json"], *wide]
     return inputs, reports, [["--family", spec] for spec in specs]
 
@@ -183,7 +215,7 @@ def main(argv: list) -> int:
                     for model in verify_inputs for options in OPTIONS]
         requests += [(command, [command, *model, *options])
                      for model in report_inputs for command, *options in REPORT_OPTIONS]
-        requests.append(("compute", ["compute", *BLANK_LINE_PAIR]))
+        requests += [(argv[0], argv) for argv in SINGLE_REQUESTS]
         requests += [("continuous", ["continuous", *family, *options])
                      for family in families for options in CONTINUOUS_OPTIONS]
         requests += [("argparse exit", argv) for argv in ARGPARSE_EXITS]

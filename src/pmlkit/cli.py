@@ -37,7 +37,7 @@ from .continuous import ClosedFormModel, GridSpec, pml_closed_form, pml_density,
 from .distributions import Alphabet, JointModel
 from .errors import CapabilityError, CapacityError, PmlError, ValidationError
 from .leakage import (
-    LN2,
+    UNITS,
     LeakageProfile,
     leakage_profile,
     maximal_leakage,
@@ -45,7 +45,7 @@ from .leakage import (
     pml,
     tail_probability,
 )
-from .modelio import load_model
+from .modelio import _symbol_from_text, load_model
 from .oracles import (
     GainFunction,
     gain_ratio,
@@ -139,15 +139,10 @@ def cmd_compute(args) -> tuple:
 
 
 def _parse_outcome(raw: str, alphabet: Alphabet):
-    if raw in alphabet:
-        return raw
-    try:
-        as_int = int(raw)
-    except ValueError:
-        as_int = None
-    if as_int is not None and as_int in alphabet:
-        return as_int
-    return raw  # let the lookup raise a named error
+    """``raw``, or the symbol it names as a CSV cell when only that is in the alphabet; an
+    unknown ``raw`` is left for the lookup to name in its error."""
+    symbol = _symbol_from_text(raw)
+    return symbol if raw not in alphabet and symbol in alphabet else raw
 
 
 def _random_gain(rng, model: JointModel) -> GainFunction:
@@ -160,6 +155,8 @@ def _random_gain(rng, model: JointModel) -> GainFunction:
 def cmd_verify(args) -> tuple:
     if math.isnan(args.eps):  # every report echoes it
         raise ValidationError(f"--eps must be a number, got {args.eps!r}")
+    scale = UNITS[args.units]  # the report's values and --eps are in units; the checks in nats
+    eps = args.eps * scale
     if args.oracle == "strategies" and args.gains < 1:
         raise ValidationError(f"--gains must be >= 1 for the strategies oracle, got {args.gains}")
     model = load_model(args.channel, args.prior)
@@ -179,8 +176,7 @@ def cmd_verify(args) -> tuple:
     # pass/fail check, or None: the strategy checks report the leakage itself and a 0.0 gap)
     oracle_at, low, high, holds = {
         "subset": (lambda y, value: subset_oracle(model, y), -GAP_TOL, GAP_TOL, None),
-        "partition": (lambda y, value: partition_oracle(model, y, args.eps),
-                      -1e-12, args.eps + 1e-12, None),
+        "partition": (lambda y, value: partition_oracle(model, y, eps), -1e-12, eps + 1e-12, None),
         "functions": (lambda y, value: randomized_function_oracle(model, y, k),
                       -GAP_TOL, GAP_TOL if k >= n else math.inf, None),
         "strategies": (lambda y, value: value, 0.0, 0.0, strategies_hold),
@@ -192,8 +188,8 @@ def cmd_verify(args) -> tuple:
             oracle = oracle_at(y, value)
             gap = value - oracle
             ok = low <= gap <= high and (holds is None or holds(y, value))
-            rows.append({"outcome": y, "p_y": float(w), "pml": value,
-                         "oracle": oracle, "gap": gap, "ok": ok})
+            rows.append({"outcome": y, "p_y": float(w), "pml": value / scale,
+                         "oracle": oracle / scale, "gap": gap / scale, "ok": ok})
     all_ok = all(row["ok"] for row in rows)
     report = {
         "truncation_deficit": model.prior.truncation_deficit,
@@ -211,16 +207,16 @@ def cmd_verify(args) -> tuple:
     return (EXIT_OK if all_ok else EXIT_ORACLE), report
 
 
-def _load_spec(raw: str, what: str, keys=None) -> dict:
+def _load_spec(raw: str, what: str, keys) -> dict:
     """A JSON object given inline or as a file path, with keys among ``keys``."""
     text = raw.strip()
     if not text.startswith("{"):
         with open(text, encoding="utf-8") as fh:
             text = fh.read()
     spec = json.loads(text)
-    if not isinstance(spec, dict) or not set(spec) <= set(keys or spec):
-        within = f" with keys among {sorted(keys)}" if keys else ""
-        raise ValidationError(f"{what} must be a JSON object{within}, got {spec!r}")
+    if not isinstance(spec, dict) or not set(spec) <= set(keys):
+        raise ValidationError(f"{what} must be a JSON object with keys among {sorted(keys)}, "
+                              f"got {spec!r}")
     return spec
 
 
@@ -278,22 +274,18 @@ def _cdf(profile: LeakageProfile, units: str):
 def cmd_tail(args) -> tuple:
     model = load_model(args.channel, args.prior)
     profile = leakage_profile(model)
-    rows = []
-    for eps in args.eps:
-        eps_nats = eps if args.units == "nats" else eps * LN2
-        rows.append({"eps": eps, "tail_probability": tail_probability(profile, eps_nats)})
+    tails = [tail_probability(profile, eps, args.units) for eps in args.eps]
     if args.format == "csv":
-        columns = ([r["eps"] for r in rows], [r["tail_probability"] for r in rows])
-        return EXIT_OK, _csv(("eps", "tail_probability"), columns)
+        return EXIT_OK, _csv(("eps", "tail_probability"), (args.eps, tails))
     values, cdf = _cdf(profile, args.units)
     return EXIT_OK, {
         "truncation_deficit": model.prior.truncation_deficit,
-        "rows": rows,
+        "rows": [{"eps": eps, "tail_probability": p} for eps, p in zip(args.eps, tails)],
         "cdf": {"leakage": values.tolist(), "probability": cdf.tolist()},
     }
 
 
-_UNITS = ("--units", dict(dest="units", choices=("nats", "bits"), default="nats"))
+_UNITS = ("--units", dict(dest="units", choices=tuple(UNITS), default="nats"))
 _SEED = ("--seed", dict(dest="seed", type=int, default=42))
 _FORMAT = ("--format", dict(dest="format", choices=("json", "csv"), default="json"))
 _MODEL_ARGUMENTS = (
@@ -444,7 +436,7 @@ def main(argv=None) -> int:
     except (CapacityError, CapabilityError) as exc:
         print(f"pmlkit: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (PmlError, OSError, KeyError, ValueError) as exc:
+    except (PmlError, OSError, ValueError) as exc:
         print(f"pmlkit: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

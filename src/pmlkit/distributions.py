@@ -210,7 +210,8 @@ def marginal(
 
     The deficit is rebuilt as ``1 - sum(P_Y)`` so that it also absorbs
     any mass lost to truncated channel rows; for exact rows this equals
-    the prior's deficit up to floating rounding.
+    the prior's deficit up to floating rounding.  Prior and row deficits
+    add up, so P_Y can drop more than ``MAX_DEFICIT`` and is then refused.
 
     The matrix product may fuse and reorder its roundings.  Below
     ``tiny * |X|`` that can leave P_Y(y) a whole subnormal away from the
@@ -231,6 +232,11 @@ def marginal(
     small = np.flatnonzero(probs < np.finfo(float).tiny * prior.alphabet.size)
     probs[small] = (prior.probs[:, None] * channel.matrix[:, small]).sum(axis=0)
     deficit = max(0.0, 1.0 - float(probs.sum()))
+    if deficit > MAX_DEFICIT:
+        raise ValidationError(
+            f"the model drops {deficit:g} of output mass (prior deficit "
+            f"{prior.truncation_deficit:g}, largest row deficit {channel.row_deficits.max():g}), "
+            f"above the accepted maximum {MAX_DEFICIT:g}; refine the truncation")
     return DiscreteDistribution(channel.output_alphabet, probs, deficit)
 
 

@@ -20,7 +20,7 @@ class AlphabetMismatchError(ValidationError):
     """Two objects that must share an alphabet do not."""
 
 
-class UnknownSymbolError(PmlError, KeyError):
+class UnknownSymbolError(ValidationError):
     """A symbol lookup failed against an alphabet."""
 
 

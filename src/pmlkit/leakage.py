@@ -10,7 +10,7 @@ statistics and tail probabilities derive.
 The leakage of a ``JointModel`` is finite, as Bayes' rule puts no
 posterior mass where the prior has none; the aggregates pass +inf through.
 
-All values are in nats internally; bits are a presentation conversion.
+All values are in nats internally; ``UNITS`` converts them for display.
 """
 
 from __future__ import annotations
@@ -27,10 +27,18 @@ from .distributions import (
     JointModel,
     Symbol,
     _law_fault,
+    _readonly,
 )
 from .errors import AlphabetMismatchError, ValidationError
 
-LN2 = math.log(2.0)
+#: nats per unit, for each unit a leakage or an eps can be given in
+UNITS = {"nats": 1.0, "bits": math.log(2.0)}
+
+
+def _nats_per(units: str) -> float:
+    if units not in UNITS:
+        raise ValidationError(f"unknown units {units!r}")
+    return UNITS[units]
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -45,18 +53,14 @@ class LeakageValue:
 
     @property
     def bits(self) -> float:
-        return self.nats / LN2
+        return self.in_units("bits")
 
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.nats)
 
     def in_units(self, units: str) -> float:
-        if units == "nats":
-            return self.nats
-        if units == "bits":
-            return self.bits
-        raise ValidationError(f"unknown units {units!r}")
+        return self.nats / _nats_per(units)
 
     def __float__(self) -> float:
         return self.nats
@@ -75,8 +79,7 @@ class LeakageProfile:
     _nats: np.ndarray = dataclasses.field(repr=False)
 
     def __init__(self, outcomes: Alphabet, leakages, weights: DiscreteDistribution):
-        nats = np.array(leakages, dtype=float)
-        nats.setflags(write=False)
+        nats = _readonly(leakages)
         if nats.shape != (outcomes.size,):
             raise ValidationError("one leakage value per outcome required")
         bad = np.flatnonzero(~(nats >= 0))
@@ -100,11 +103,7 @@ class LeakageProfile:
 
     def in_units(self, units: str) -> np.ndarray:
         """The leakages converted as ``LeakageValue.in_units`` converts one."""
-        if units == "nats":
-            return self._nats
-        if units == "bits":
-            return self._nats / LN2
-        raise ValidationError(f"unknown units {units!r}")
+        return self._nats / _nats_per(units)
 
 
 def renyi_inf(p: DiscreteDistribution, q: DiscreteDistribution) -> LeakageValue:
@@ -204,14 +203,16 @@ def mean_leakage(profile: LeakageProfile) -> LeakageValue:
     weights = profile.weights.probs
     nats = profile.nats_array()
     mask = weights > 0
-    return LeakageValue(max(float(np.dot(weights[mask], nats[mask])), 0.0))
+    # positive weights times leakages >= 0: the sum is >= +0.0
+    return LeakageValue(float(np.dot(weights[mask], nats[mask])))
 
 
-def tail_probability(profile: LeakageProfile, eps: float) -> float:
-    """P_Y over the outcomes whose leakage strictly exceeds eps."""
+def tail_probability(profile: LeakageProfile, eps: float, units: str = "nats") -> float:
+    """P_Y over the outcomes whose leakage in ``units``, as ``profile.in_units`` gives it and
+    a report prints it, strictly exceeds eps."""
     if not eps >= 0:
         raise ValidationError(f"eps must be >= 0, got {eps!r}")
-    mask = profile.nats_array() > eps
+    mask = profile.in_units(units) > eps
     return float(profile.weights.probs[mask].sum())
 
 

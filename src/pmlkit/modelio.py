@@ -12,7 +12,8 @@ per channel row, written only when some row of a truncated kernel has one).
 The CSV alternative splits the model: the channel file has a header row
 of output symbols followed by one probability row per input symbol, and
 the prior file has one ``symbol,probability`` line per input symbol (in
-channel row order).  All numbers are plain decimal floats.
+channel row order).  All numbers are plain decimal floats.  Both files skip
+each record whose cells are all whitespace.
 """
 
 from __future__ import annotations
@@ -126,22 +127,6 @@ def save_model_json(model: JointModel, path: PathLike) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_prior_csv(path: PathLike) -> DiscreteDistribution:
-    symbols, probs = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:  # line_num is the file's line, after a quoted line break too
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValidationError(
-                    f"{path}: line {reader.line_num}: expected 'symbol,probability'"
-                )
-            symbols.append(_symbol_from_text(row[0].strip()))
-            probs.append(_parse_float(row[1].strip(), f"{path}: line {reader.line_num}"))
-    return DiscreteDistribution(Alphabet(symbols), probs)
-
-
 def _symbol_from_text(text: str):
     try:
         return int(text)
@@ -149,25 +134,37 @@ def _symbol_from_text(text: str):
         return text
 
 
-def load_channel_csv(path: PathLike, input_alphabet: Alphabet) -> DiscreteChannel:
+def _records(path: PathLike) -> list:
+    """The CSV records of ``path`` with a non-blank cell: each one's file line and stripped cells."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)  # each row with its file line: blank lines are dropped
-        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+        reader = csv.reader(fh)  # line_num is the file's line, after a quoted line break too
+        records = ((reader.line_num, [c.strip() for c in row]) for row in reader)
+        return [(line, cells) for line, cells in records if any(cells)]
+
+
+def _load_csv_pair(channel_path: PathLike, prior_path: PathLike) -> JointModel:
+    symbols, probs = [], []
+    for line, cells in _records(prior_path):
+        if len(cells) != 2:
+            raise ValidationError(f"{prior_path}: line {line}: expected 'symbol,probability'")
+        symbols.append(_symbol_from_text(cells[0]))
+        probs.append(_parse_float(cells[1], f"{prior_path}: line {line}"))
+    prior = DiscreteDistribution(Alphabet(symbols), probs)
+    rows = _records(channel_path)
     if not rows:
-        raise ValidationError(f"{path}: empty channel file")
-    output_alphabet = Alphabet([_symbol_from_text(c.strip()) for c in rows[0][1]])
+        raise ValidationError(f"{channel_path}: empty channel file")
+    output_alphabet = Alphabet(map(_symbol_from_text, rows[0][1]))
     matrix = []
-    for lineno, row in rows[1:]:
-        if len(row) != output_alphabet.size:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {output_alphabet.size} columns, got {len(row)}"
-            )
-        matrix.append([_parse_float(c.strip(), f"{path}: line {lineno}") for c in row])
-    if len(matrix) != input_alphabet.size:
+    for line, cells in rows[1:]:
+        if len(cells) != output_alphabet.size:
+            raise ValidationError(f"{channel_path}: line {line}: expected "
+                                  f"{output_alphabet.size} columns, got {len(cells)}")
+        matrix.append([_parse_float(c, f"{channel_path}: line {line}") for c in cells])
+    if len(matrix) != prior.alphabet.size:
         raise ValidationError(
-            f"{path}: {len(matrix)} channel rows for {input_alphabet.size} prior symbols"
+            f"{channel_path}: {len(matrix)} channel rows for {prior.alphabet.size} prior symbols"
         )
-    return DiscreteChannel(input_alphabet, output_alphabet, matrix)
+    return JointModel(prior, DiscreteChannel(prior.alphabet, output_alphabet, matrix))
 
 
 def load_model(channel_path: PathLike, prior_path: PathLike = None) -> JointModel:
@@ -177,7 +174,5 @@ def load_model(channel_path: PathLike, prior_path: PathLike = None) -> JointMode
         return load_model_json(channel_path)
     if prior_path is None:
         raise ValidationError("CSV channels require a separate prior file")
-    prior = load_prior_csv(prior_path)
-    channel = load_channel_csv(channel_path, prior.alphabet)
-    return JointModel(prior, channel)
+    return _load_csv_pair(channel_path, prior_path)
 

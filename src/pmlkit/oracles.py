@@ -26,6 +26,7 @@ from .distributions import (
     DiscreteDistribution,
     JointModel,
     Symbol,
+    _readonly,
     posterior,
 )
 from .errors import (
@@ -50,8 +51,7 @@ class GainFunction:
     gains: np.ndarray
 
     def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=float).copy()
-        gains.setflags(write=False)
+        gains = _readonly(self.gains)
         object.__setattr__(self, "gains", gains)
         if gains.shape != (self.x_alphabet.size, self.estimate_alphabet.size):
             raise ValidationError(
@@ -170,7 +170,11 @@ class PartitionGain:
             idx = [model.input_alphabet.index(x) for x in self.cells[w]]
             mass = float(model.prior.probs[idx].sum())
             if mass > 0.0:
-                gains[idx, j] = 1.0 / mass
+                gain = 1.0 / mass
+                if gain == math.inf:
+                    raise CapacityError(f"partition cell {w} has prior mass {mass!r}, "
+                                        "whose gain 1/mass overflows a float")
+                gains[idx, j] = gain
         return GainFunction(model.input_alphabet, estimate, gains)
 
 

@@ -178,6 +178,32 @@ def test_verify_functions_shares_the_subset_cap(capsys, tmp_path):
                        "events; n=21 exceeds cap 20\n")
 
 
+def test_verify_partition_refuses_a_cell_whose_gain_overflows(capsys, tmp_path):
+    path = tmp_path / "subnormal_atom.json"
+    path.write_text(json.dumps({
+        "alphabet_x": [0, 1, 2], "alphabet_y": [0, 1], "prior": [0.5, 0.5, 5e-324],
+        "channel": [[0.5, 0.5], [0.9, 0.1], [0.01, 0.99]]}))
+    assert run(capsys, "verify", str(path), "--oracle", "partition") == (
+        3, "", "pmlkit: capacity error: partition cell -inf has prior mass 5e-324, "
+               "whose gain 1/mass overflows a float\n")
+    assert run_json(capsys, "verify", str(path), "--oracle", "subset")["all_ok"]
+
+
+@pytest.mark.parametrize("oracle", ["subset", "partition", "functions", "strategies"])
+def test_verify_bits_rows_are_the_nats_rows_over_ln2(capsys, random_model_file, oracle):
+    # --eps is read in the report's unit, so these two name the same band; the
+    # partition oracle's cells on this model differ between 0.5 bits and 0.5 nats
+    eps_bits = 0.5
+    argv = ["verify", str(random_model_file), "--oracle", oracle, "--gains", "3"]
+    bits = run_json(capsys, *argv, "--units", "bits", "--eps", repr(eps_bits))
+    nats = run_json(capsys, *argv, "--eps", repr(eps_bits * math.log(2.0)))
+    assert bits["all_ok"] and nats["all_ok"] and bits["rows"]
+    assert bits["parameters"]["eps"] == eps_bits
+    assert bits["rows"] == [{**row, **{key: row[key] / math.log(2.0)
+                                       for key in ("pml", "oracle", "gap")}}
+                            for row in nats["rows"]]
+
+
 def _oracle_above_pml(model, y, *rest):
     """A broken oracle: one nat above the pipeline's leakage at ``y``."""
     return cli.pml(model, y).nats + 1.0
@@ -514,6 +540,22 @@ def test_profile_document_units():
 def test_reports_refuse_nan():
     with pytest.raises(ValueError):
         cli._json({"eps": math.nan})
+
+
+def test_tail_in_bits_compares_the_printed_bits_values(capsys, fixtures_dir):
+    path = str(fixtures_dir / "poisson_binomial_lam2_p05.json")
+    eps = 20.978589993105462
+    profile = run_json(capsys, "compute", path, "--units", "bits")["profile"]
+    assert profile["leakage"][profile["outcomes"].index(13)] == eps
+    leakage, p_y = np.array(profile["leakage"]), np.array(profile["p_y"])
+    doc = run_json(capsys, "tail", path, "--units", "bits", "--eps", repr(eps))
+    assert doc["rows"][0]["tail_probability"] == p_y[leakage > eps].sum()
+    assert doc["rows"][0]["tail_probability"] == pytest.approx(2.93e-08, rel=1e-3)
+
+
+def test_unknown_outcome_is_named_without_quotes(capsys, fixtures_dir):
+    assert run(capsys, "compute", str(fixtures_dir / "identity4.json"), "--outcome", "zz") == (
+        1, "", "pmlkit: validation error: symbol 'zz' not in alphabet\n")
 
 
 def test_tail_csv(capsys, fixtures_dir):

@@ -158,6 +158,11 @@ def test_tail_probability():
     with pytest.raises(ValidationError, match="eps must be >= 0, got nan"):
         tail_probability(profile, math.nan)
     assert tail_probability(profile, math.inf) == 0.0
+    # in bits, log 4 reads 2.0, and an outcome that prints as eps does not exceed it
+    assert tail_probability(ident, 2.0, "bits") == 0.0
+    assert tail_probability(ident, 1.99, units="bits") == 1.0
+    with pytest.raises(ValidationError, match="unknown units 'hartleys'"):
+        tail_probability(ident, 1.0, "hartleys")
 
 
 def test_tail_is_monotone_step_function():

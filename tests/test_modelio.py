@@ -81,6 +81,19 @@ def test_csv_bad_number(tmp_path):
         load_model(channel, prior)
 
 
+def test_csv_records_of_blank_cells_are_skipped_in_both_files(tmp_path):
+    channel = tmp_path / "ch.csv"
+    channel.write_text("0,1\n,\n1,0\n ,,\n0,1\n")
+    prior = tmp_path / "prior.csv"
+    prior.write_text(",\nx0,0.5\n,,\nx1,0.5\n \t, \n")
+    model = load_model(channel, prior)
+    assert model.input_alphabet.symbols == ("x0", "x1")
+    np.testing.assert_array_equal(model.channel.matrix, np.eye(2))
+    prior.write_text(",\nx0,0.5\n,,\nx1,abc\n")
+    with pytest.raises(ValidationError, match="prior.csv: line 4: 'abc' is not a decimal"):
+        load_model(channel, prior)
+
+
 def test_csv_row_count_mismatch(tmp_path):
     channel = tmp_path / "ch.csv"
     channel.write_text("0,1\n0.5,0.5\n")
@@ -211,6 +224,19 @@ def _write(tmp_path, **keys) -> str:
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_prior_and_row_deficits_add_up_in_the_marginal(tmp_path, capsys):
+    def path(deficit):
+        return _write(tmp_path, prior=[0.5, 0.5 - deficit], truncation_deficit=deficit,
+                      channel=[[0.5, 0.5 - deficit], [0.25, 0.75 - deficit]],
+                      row_deficits=[deficit, deficit])
+
+    assert load_model_json(path(5e-10)).marginal.truncation_deficit <= 1e-9
+    assert main(["compute", path(1e-9)]) == 1
+    assert capsys.readouterr().err == (
+        "pmlkit: validation error: the model drops 2e-09 of output mass (prior deficit 1e-09, "
+        "largest row deficit 1e-09), above the accepted maximum 1e-09; refine the truncation\n")
 
 
 def test_largest_float_integer_still_loads_as_a_number(tmp_path):

@@ -152,6 +152,16 @@ class TestPartitionOracle:
                 assert math.exp(w * 0.1) <= f * (1 + 1e-9)
                 assert f < math.exp((w + 1) * 0.1) * (1 + 1e-9)
 
+    def test_refuses_a_cell_whose_gain_overflows(self):
+        a = Alphabet([0, 1, 2])
+        model = JointModel(DiscreteDistribution(a, [0.5, 0.5, 5e-324]),
+                           DiscreteChannel(a, Alphabet([0, 1]),
+                                           [[0.5, 0.5], [0.9, 0.1], [0.01, 0.99]]))
+        for y in (0, 1):  # the atom's cell: -inf (posterior 0) at y = 0, its own at y = 1
+            with pytest.raises(CapacityError, match="has prior mass 5e-324, whose gain"):
+                partition_oracle(model, y, 0.05)
+            assert subset_oracle(model, y) == pytest.approx(pml(model, y).nats, abs=1e-12)
+
     def test_rejects_nonpositive_epsilon(self):
         model = small_geometric_model()
         with pytest.raises(ValidationError):
