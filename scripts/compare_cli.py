@@ -20,8 +20,10 @@ wide models (16 and 64 inputs by 2000 outcomes), whose reports carry one
 float per outcome.  ``SINGLE_REQUESTS`` adds a CSV pair whose channel has
 a blank line before its bad cell, so the error names the file's line, a
 CSV pair with records of blank cells, an unknown outcome, a ``tail`` eps
-equal to a printed bits value, and a model whose prior and row deficits
-add up past the accepted maximum.
+equal to a printed bits value, a model whose prior and row deficits add up
+past the accepted maximum, a CSV pair labelled ``1.0`` and ``2`` asked for
+outcome ``1``, inline family and grid specs that are not JSON, a negative
+partition ``--eps`` in bits and a strategies ``--resolution`` of 0.
 ``continuous`` runs each family, given as a fixture file and inline, with
 the options below: negative and exponent outcomes, ``=`` forms,
 abbreviations, grid checks with inline and file grids, and a grid file
@@ -51,6 +53,9 @@ BLANK_LINE_PAIR = {"blank_line_channel.csv": "a,b\n\n0.5,0.5\n0.5,x\n",
 #: a CSV pair whose files both hold "," and ",," records, which hold no value
 BLANK_CELLS_PAIR = {"blank_cells_channel.csv": "a,b\n,\n0.5,0.5\n,,\n0.25,0.75\n",
                     "blank_cells_prior.csv": "x0,0.5\n,\nx1,0.5\n,,\n"}
+#: a CSV pair whose labels 1.0 and 2 read as whole numbers, in both files
+INTEGRAL_LABEL_PAIR = {"integral_channel.csv": "1.0,2\n1,0\n0,1\n",
+                       "integral_prior.csv": "1.0,0.5\n2,0.5\n"}
 #: models written as JSON: prior and row deficits of 1e-9 each, whose marginal
 #: drops 2e-9; and a prior atom of 5e-324, whose partition cell's gain overflows
 MODELS = {
@@ -69,6 +74,12 @@ SINGLE_REQUESTS = (
     ["compute", "identity4.json", "--outcome", "zz"],
     ["tail", "poisson_binomial_lam2_p05.json", "--units", "bits", "--eps", "20.978589993105462"],
     ["compute", "deficits1e-9.json"],
+    ["compute", *INTEGRAL_LABEL_PAIR, "--outcome", "1"],
+    ["continuous", "--family", "{bad", "--outcome", "1"],
+    ["continuous", "--family", "family_additive_gaussian.json", "--outcome", "1", "--check-grid",
+     "--grid", '{"points": }'],
+    ["verify", "identity4.json", "--oracle", "partition", "--units", "bits", "--eps", "-1"],
+    ["verify", "identity4.json", "--oracle", "strategies", "--resolution", "0"],
 )
 #: (inputs, outputs) of the seeded full-support models
 SHAPES = ((10, 8), (12, 6), (16, 7), (20, 8))
@@ -151,7 +162,7 @@ def write_inputs(change: Path, directory: Path) -> tuple:
     for name in FIXTURES + CSV_PAIR + tuple(families):
         shutil.copyfile(change / "fixtures" / name, directory / name)
     (directory / "grid.json").write_text(json.dumps(GRID), encoding="utf-8")
-    for name, text in {**BLANK_LINE_PAIR, **BLANK_CELLS_PAIR}.items():
+    for name, text in {**BLANK_LINE_PAIR, **BLANK_CELLS_PAIR, **INTEGRAL_LABEL_PAIR}.items():
         (directory / name).write_text(text, encoding="utf-8")
     for name, doc in MODELS.items():
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")

@@ -45,9 +45,10 @@ from .leakage import (
     pml,
     tail_probability,
 )
-from .modelio import _symbol_from_text, load_model
+from .modelio import _symbol_from_text, load_model, parse_json
 from .oracles import (
     GainFunction,
+    check_epsilon,
     gain_ratio,
     partition_oracle,
     randomized_function_oracle,
@@ -122,7 +123,9 @@ def cmd_compute(args) -> tuple:
     model = load_model(args.channel, args.prior)
     units = args.units
     if args.outcome is not None:
-        y = _parse_outcome(args.outcome, model.output_alphabet)
+        # a symbol as typed, else the label it reads as; an unknown one is named as typed
+        raw, y = args.outcome, _symbol_from_text(args.outcome)
+        y = y if raw not in model.output_alphabet and y in model.output_alphabet else raw
         report = {"outcome": y, "leakage": pml(model, y).in_units(units)}
     else:
         profile = leakage_profile(model)
@@ -138,13 +141,6 @@ def cmd_compute(args) -> tuple:
     return EXIT_OK, report
 
 
-def _parse_outcome(raw: str, alphabet: Alphabet):
-    """``raw``, or the symbol it names as a CSV cell when only that is in the alphabet; an
-    unknown ``raw`` is left for the lookup to name in its error."""
-    symbol = _symbol_from_text(raw)
-    return symbol if raw not in alphabet and symbol in alphabet else raw
-
-
 def _random_gain(rng, model: JointModel) -> GainFunction:
     d = int(rng.integers(1, 5))
     labels = [f"w{i}" for i in range(d)]
@@ -155,6 +151,8 @@ def _random_gain(rng, model: JointModel) -> GainFunction:
 def cmd_verify(args) -> tuple:
     if math.isnan(args.eps):  # every report echoes it
         raise ValidationError(f"--eps must be a number, got {args.eps!r}")
+    if args.oracle == "partition":  # before the conversion, so a refusal names the given value
+        check_epsilon(args.eps)
     scale = UNITS[args.units]  # the report's values and --eps are in units; the checks in nats
     eps = args.eps * scale
     if args.oracle == "strategies" and args.gains < 1:
@@ -209,11 +207,12 @@ def cmd_verify(args) -> tuple:
 
 def _load_spec(raw: str, what: str, keys) -> dict:
     """A JSON object given inline or as a file path, with keys among ``keys``."""
-    text = raw.strip()
+    text, source = raw.strip(), what
     if not text.startswith("{"):
+        source = text
         with open(text, encoding="utf-8") as fh:
             text = fh.read()
-    spec = json.loads(text)
+    spec = parse_json(text, source)
     if not isinstance(spec, dict) or not set(spec) <= set(keys):
         raise ValidationError(f"{what} must be a JSON object with keys among {sorted(keys)}, "
                               f"got {spec!r}")

@@ -399,9 +399,7 @@ def discretize_poisson_binomial(
     prior = truncate_countable("poisson", lam * p, tail)
     n_x = prior.alphabet.size - 1  # prior support {0..n_x}
     lam_noise = lam * (1.0 - p)
-    k = 1
-    while stats.poisson.sf(k, lam_noise) > tail:
-        k += 1
+    k = max(1, truncate_countable("poisson", lam_noise, tail).alphabet.size - 1)
     n_y = max(n_x + k, int(y_max))
     ys = np.arange(0, n_y + 1)
     matrix = np.zeros((n_x + 1, n_y + 1))

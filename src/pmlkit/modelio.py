@@ -8,6 +8,8 @@ JSON model files carry the whole model:
 with ``channel[i][j] = P(Y = alphabet_y[j] | X = alphabet_x[i])``, and
 optional ``truncation_deficit`` (the prior's) and ``row_deficits`` (one
 per channel row, written only when some row of a truncated kernel has one).
+Each number key becomes one float array, in the order ``prior``,
+``truncation_deficit``, ``channel``, ``row_deficits``.
 
 The CSV alternative splits the model: the channel file has a header row
 of output symbols followed by one probability row per input symbol, and
@@ -38,6 +40,9 @@ PathLike = Union[str, Path]
 #: the JSON type of each type json.load returns
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "number",
                float: "number", type(None): "null"}
+#: why float() refused a model key's value; only a channel row can still hold a JSON object
+_REFUSALS = {OverflowError: "holds an integer beyond the float range",
+             TypeError: "entries must be JSON numbers, got a JSON object"}
 
 
 def _symbol(raw):
@@ -51,12 +56,6 @@ def _symbol(raw):
     raise ValidationError(f"symbols must be strings or integers, got {raw!r}")
 
 
-def _overflows(value) -> bool:
-    """Whether a parsed JSON value holds an integer that rounds beyond the float range."""
-    return (any(map(_overflows, value)) if type(value) is list
-            else type(value) is int and abs(value) >= 2**1024 - 2**970)
-
-
 def _parse_float(text: str, where: str) -> float:
     try:
         value = float(text)
@@ -67,28 +66,28 @@ def _parse_float(text: str, where: str) -> float:
     return value
 
 
+def parse_json(text: str, source) -> object:
+    """The JSON document ``text``; a parse error names ``source``, its line and its column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = f"line {exc.lineno}, column {exc.colno}"
+        raise ValidationError(f"{source}: JSON parse error at {where}: {exc.msg}") from None
+
+
 def load_model_json(path: PathLike) -> JointModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
+    doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
     if type(doc) is not dict:
         got = _JSON_TYPES[type(doc)]
         raise ValidationError(f"{path}: a model must be a JSON object, got a JSON {got}")
     missing = {"alphabet_x", "alphabet_y", "prior", "channel"} - set(doc)
     if missing:
         raise ValidationError(f"{path}: missing keys {sorted(missing)}")
-    deficit = doc.get("truncation_deficit", 0.0)
-    for key, value, want in (("alphabet_x", doc["alphabet_x"], "array"),
-                             ("alphabet_y", doc["alphabet_y"], "array"),
-                             ("prior", doc["prior"], "array"),
-                             ("truncation_deficit", deficit, "number"),
-                             ("channel", doc["channel"], "array"),
-                             ("row_deficits", doc.get("row_deficits", []), "array")):
-        got = _JSON_TYPES[type(value)]
+    doc = {"truncation_deficit": 0.0, **doc}
+    for key, want in (("alphabet_x", "array"), ("alphabet_y", "array"), ("prior", "array"),
+                      ("truncation_deficit", "number"), ("channel", "array"),
+                      ("row_deficits", "array")):
+        got = _JSON_TYPES[type(doc.get(key, []))]
         if got != want:
             raise ValidationError(f"{path}: {key} must be a JSON {want}, got a JSON {got}")
     alphabet_x, alphabet_y = (  # _symbol keeps ints and strings as they are
@@ -101,16 +100,13 @@ def load_model_json(path: PathLike) -> JointModel:
         got = next((_JSON_TYPES[type(v)] for v in items if _JSON_TYPES[type(v)] != want), want)
         if got != want:
             raise ValidationError(f"{path}: {key} {noun} must be JSON {want}s, got a JSON {got}")
-    try:  # the constructors convert each parsed list to its one float array
-        prior = DiscreteDistribution(alphabet_x, doc["prior"], deficit)
-        channel = DiscreteChannel(alphabet_x, alphabet_y, doc["channel"], doc.get("row_deficits"))
-    except OverflowError:  # the conversions run in this key order
-        key = next(k for k in ("prior", "truncation_deficit", "channel", "row_deficits")
-                   if _overflows(doc.get(k)))
-        raise ValidationError(f"{path}: {key} holds an integer beyond the float range") from None
-    except TypeError:  # float() of a JSON object, which only a channel row can still hold
-        raise ValidationError(f"{path}: channel entries must be JSON numbers, got a JSON object"
-                              ) from None
+    for key in ("prior", "truncation_deficit", "channel", "row_deficits"):  # the docstring's order
+        try:
+            doc[key] = np.array(doc[key], dtype=float) if key in doc else None
+        except (OverflowError, TypeError) as exc:
+            raise ValidationError(f"{path}: {key} {_REFUSALS[type(exc)]}") from None
+    prior = DiscreteDistribution(alphabet_x, doc["prior"], doc["truncation_deficit"])
+    channel = DiscreteChannel(alphabet_x, alphabet_y, doc["channel"], doc["row_deficits"])
     return JointModel(prior, channel)
 
 
@@ -128,9 +124,14 @@ def save_model_json(model: JointModel, path: PathLike) -> None:
 
 
 def _symbol_from_text(text: str):
+    """A CSV cell's or ``--outcome``'s label: ``_symbol`` of the number it reads as, else it."""
     try:
         return int(text)
     except ValueError:
+        pass
+    try:
+        return _symbol(float(text))
+    except (ValueError, ValidationError):  # not a number, or not one that _symbol takes
         return text
 
 

@@ -178,9 +178,14 @@ class PartitionGain:
         return GainFunction(model.input_alphabet, estimate, gains)
 
 
-def build_partition_gain(model: JointModel, y: Symbol, epsilon: float) -> PartitionGain:
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a partition band that is not positive and finite."""
     if not 0 < epsilon < math.inf:
         raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
+
+
+def build_partition_gain(model: JointModel, y: Symbol, epsilon: float) -> PartitionGain:
+    check_epsilon(epsilon)
     post = _posterior(model, y).probs
     prior = model.prior.probs
     cells: Dict[float, list] = {}
@@ -274,10 +279,10 @@ def randomized_strategy_check(
         raise CapacityError(
             f"strategy check caps the estimate alphabet at {STRATEGY_ALPHABET_CAP}"
         )
-    if not (1 <= grid_resolution <= STRATEGY_RESOLUTION_CAP):
-        raise CapacityError(
-            f"simplex resolution must lie in [1, {STRATEGY_RESOLUTION_CAP}]"
-        )
+    if grid_resolution < 1:
+        raise ValidationError(f"simplex resolution must be >= 1, got {grid_resolution!r}")
+    if grid_resolution > STRATEGY_RESOLUTION_CAP:
+        raise CapacityError(f"simplex resolution must lie in [1, {STRATEGY_RESOLUTION_CAP}]")
     pure = g.expected_gain(_posterior(model, y).probs)
     grid = _simplex_grid(g.estimate_alphabet.size, grid_resolution)
     return not np.any(grid @ pure > float(pure.max()) + 1e-12)

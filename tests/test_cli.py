@@ -469,10 +469,14 @@ def test_non_finite_outcome_exits_one(capsys, family, outcome):
          "{'family': 'gaussian_mixture', 'params': {'sigma': 1}, 'grid': {'points': 2048}}"),
         ('{"params": {"sigma": 1}}', None,
          "family spec must hold the key 'family', got {'params': {'sigma': 1}}"),
+        ("{bad", None, "family spec: JSON parse error at line 1, column 2: "
+         "Expecting property name enclosed in double quotes"),
+        ("family_additive_gaussian.json", '{"points": }',
+         "grid spec: JSON parse error at line 1, column 12: Expecting value"),
     ],
     ids=["params_list", "null_parameter", "spec_not_object", "unknown_grid_key",
          "grid_points_text", "boolean_parameter", "boolean_refine",
-         "unknown_family_key", "missing_family_key"],
+         "unknown_family_key", "missing_family_key", "family_not_json", "grid_not_json"],
 )
 def test_malformed_spec_exits_one(capsys, fixtures_dir, tmp_path, family, grid, message):
     (tmp_path / "list_spec.json").write_text('[{"family": "gaussian_mixture"}]')
@@ -483,6 +487,19 @@ def test_malformed_spec_exits_one(capsys, fixtures_dir, tmp_path, family, grid, 
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"pmlkit: validation error: {message}\n"
+
+
+@pytest.mark.parametrize("option", ["--family", "--grid"])
+def test_spec_file_that_is_not_json_is_named(capsys, fixtures_dir, tmp_path, option):
+    bad = tmp_path / "bad_spec.json"
+    bad.write_text('{"family": "gaussian_mixture",\n "params": }')
+    specs = {"--family": str(fixtures_dir / "family_additive_gaussian.json"),
+             "--grid": '{"points": 2048}', option: str(bad)}
+    code, out, err = run(capsys, "continuous", "--family", specs["--family"], "--outcome", "1",
+                         "--check-grid", "--grid", specs["--grid"])
+    assert (code, out) == (1, "")
+    assert err == f"pmlkit: validation error: {bad}: JSON parse error at line 2, column 12: " \
+        "Expecting value\n"
 
 
 def test_tail_identity(capsys, fixtures_dir):
@@ -509,9 +526,17 @@ def test_tail_identity(capsys, fixtures_dir):
          "--gains must be >= 1 for the strategies oracle, got 0"),
         (["verify", "identity4.json", "--oracle", "strategies", "--gains", "-3"],
          "--gains must be >= 1 for the strategies oracle, got -3"),
+        (["verify", "identity4.json", "--oracle", "partition", "--units", "bits", "--eps", "-1"],
+         "epsilon must be positive and finite, got -1.0\n"),
+        (["verify", "identity4.json", "--oracle", "strategies", "--resolution", "0"],
+         "simplex resolution must be >= 1, got 0\n"),
+        (["verify", "identity4.json", "--oracle", "strategies", "--resolution", "-2"],
+         "simplex resolution must be >= 1, got -2\n"),
     ],
     ids=["tail_nan", "subset_nan", "partition_nan", "functions_nan", "strategies_nan",
-         "partition_inf", "strategies_no_gains", "strategies_negative_gains"],
+         "partition_inf", "strategies_no_gains", "strategies_negative_gains",
+         "partition_negative_bits", "strategies_no_resolution",
+         "strategies_negative_resolution"],
 )
 def test_unusable_option_exits_one(capsys, fixtures_dir, argv, message):
     code, out, err = run(capsys, *(str(fixtures_dir / a) if a.endswith(".json") else a
@@ -556,6 +581,14 @@ def test_tail_in_bits_compares_the_printed_bits_values(capsys, fixtures_dir):
 def test_unknown_outcome_is_named_without_quotes(capsys, fixtures_dir):
     assert run(capsys, "compute", str(fixtures_dir / "identity4.json"), "--outcome", "zz") == (
         1, "", "pmlkit: validation error: symbol 'zz' not in alphabet\n")
+
+
+def test_outcome_that_reads_as_a_whole_number_is_that_int(capsys, fixtures_dir):
+    path = str(fixtures_dir / "geometric_binary_p03_q05.json")
+    _, by_int, _ = run(capsys, "compute", path, "--outcome", "1")
+    assert json.loads(by_int)["outcome"] == 1
+    for text in ("1.0", "1e0", "+1"):
+        assert run(capsys, "compute", path, "--outcome", text) == (0, by_int, "")
 
 
 def test_tail_csv(capsys, fixtures_dir):

@@ -311,6 +311,23 @@ def test_discretized_poisson_binomial_matches_closed_form():
         )
 
 
+def _reference_noise_support(lam_noise, tail):
+    """The noise support's last point found by a linear search, as the discretizer once did."""
+    k = 1
+    while stats.poisson.sf(k, lam_noise) > tail:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("tail", [1e-12, 1e-10, 1e-9])
+@pytest.mark.parametrize("lam, p", [(2.0, 0.975), (2.0, 0.85), (2.0, 0.5), (4.0, 0.75),
+                                    (1.05, 0.1), (20.0, 0.99)])
+def test_discretized_noise_support_matches_the_linear_search(lam, p, tail):
+    model = discretize_poisson_binomial(lam, p, 0, tail)
+    k = model.output_alphabet.size - model.input_alphabet.size
+    assert k == _reference_noise_support(lam * (1 - p), tail)
+
+
 def test_discretize_rejects_coarse_tail():
     with pytest.raises(ValidationError):
         discretize_poisson_binomial(2.0, 0.5, 10, tail=1e-6)

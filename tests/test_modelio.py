@@ -280,6 +280,48 @@ def test_alphabet_symbols_rejected(tmp_path, raw, message):
         load_model_json(path)
 
 
+def _write_csv_pair(tmp_path, labels) -> tuple:
+    """A CSV pair with ``labels`` as the channel header and as the prior's symbols."""
+    n = len(labels)
+    channel, prior = tmp_path / "ch.csv", tmp_path / "prior.csv"
+    rows = [",".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
+    channel.write_text("\n".join([",".join(labels), *rows]) + "\n")
+    prior.write_text("".join(f"{label},{1 / n!r}\n" for label in labels))
+    return str(channel), str(prior)
+
+
+@pytest.mark.parametrize(
+    "labels, raw, symbols",
+    [
+        (["1.0", "2"], [1.0, 2], (1, 2)),
+        (["-0.0", "2e3", "7"], [-0.0, 2e3, 7], (0, 2000, 7)),
+        (["0.5", "inf", "nan", "x1"], ["0.5", "inf", "nan", "x1"], ("0.5", "inf", "nan", "x1")),
+    ],
+    ids=["integral_float", "signed_zero_and_exponent", "text"],
+)
+def test_csv_labels_are_what_json_labels_give(tmp_path, labels, raw, symbols):
+    n = len(raw)
+    twin = _write(tmp_path, alphabet_x=raw, alphabet_y=raw, prior=[1.0 / n] * n,
+                  channel=np.eye(n).tolist())
+    for model in (load_model(*_write_csv_pair(tmp_path, labels)), load_model_json(twin)):
+        for alphabet in (model.input_alphabet, model.output_alphabet):
+            assert alphabet.symbols == symbols
+            assert list(map(type, alphabet.symbols)) == list(map(type, symbols))
+
+
+def test_csv_label_that_reads_as_a_whole_number_answers_outcome(tmp_path, capsys):
+    channel, prior = _write_csv_pair(tmp_path, ["1.0", "2"])
+    assert main(["compute", channel, prior, "--outcome", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == 1
+
+
+def test_csv_labels_of_one_number_are_refused_as_json_ones_are(tmp_path):
+    with pytest.raises(ValidationError, match="alphabet symbols must be unique"):
+        load_model(*_write_csv_pair(tmp_path, ["1", "1.0"]))
+    with pytest.raises(ValidationError, match="alphabet symbols must be unique"):
+        load_model_json(_write(tmp_path, alphabet_y=[1, 1.0]))
+
+
 def test_callers_arrays_are_copied():
     alphabet = Alphabet(["a", "b"])
     probs = np.array([0.5, 0.5])

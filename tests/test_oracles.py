@@ -309,6 +309,13 @@ class TestStrategyCheck:
         with pytest.raises(CapacityError):
             randomized_strategy_check(model, "y0", g, 51)
 
+    @pytest.mark.parametrize("resolution", [0, -2])
+    def test_resolution_below_one_is_a_validation_error(self, resolution):
+        model = random_full_support_model(np.random.default_rng(71), 3, 3)
+        g = GainFunction(model.input_alphabet, Alphabet([0]), np.ones((3, 1)))
+        with pytest.raises(ValidationError, match=f"must be >= 1, got {resolution}"):
+            randomized_strategy_check(model, "y0", g, resolution)
+
 
 class TestGainConstructors:
     def test_guessing_own_value_uniform(self):
