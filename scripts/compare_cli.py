@@ -23,7 +23,10 @@ CSV pair with records of blank cells, an unknown outcome, a ``tail`` eps
 equal to a printed bits value, a model whose prior and row deficits add up
 past the accepted maximum, a CSV pair labelled ``1.0`` and ``2`` asked for
 outcome ``1``, inline family and grid specs that are not JSON, a negative
-partition ``--eps`` in bits and a strategies ``--resolution`` of 0.
+partition ``--eps`` in bits, a strategies ``--resolution`` of 0, a
+geometric-binary family asked for outcome 2, and two requests that must be
+refused: a JSON model given with a prior file, and ``--format csv`` with
+``--outcome``.
 ``continuous`` runs each family, given as a fixture file and inline, with
 the options below: negative and exponent outcomes, ``=`` forms,
 abbreviations, grid checks with inline and file grids, and a grid file
@@ -80,6 +83,9 @@ SINGLE_REQUESTS = (
      "--grid", '{"points": }'],
     ["verify", "identity4.json", "--oracle", "partition", "--units", "bits", "--eps", "-1"],
     ["verify", "identity4.json", "--oracle", "strategies", "--resolution", "0"],
+    ["continuous", "--family", "family_geometric_binary.json", "--outcome", "2"],
+    ["compute", "identity4.json", "identity4_prior.csv"],
+    ["compute", "identity4.json", "--outcome", "a", "--format", "csv"],
 )
 #: (inputs, outputs) of the seeded full-support models
 SHAPES = ((10, 8), (12, 6), (16, 7), (20, 8))

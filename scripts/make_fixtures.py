@@ -10,7 +10,6 @@ The fixture inputs come from ``fixture_texts()``, which a test compares
 with the committed files byte for byte.
 """
 
-import json
 import pathlib
 import subprocess
 import sys
@@ -82,7 +81,7 @@ def fixture_texts():
     """The text of every fixture input (models, CSV pairs and family specs),
     keyed by its file name in fixtures/."""
     from pmlkit import discretize_poisson_binomial, geometric_binary_model
-    from pmlkit.modelio import save_model_json
+    from pmlkit.modelio import _json, save_model_json
 
     models = {
         "geometric_binary_p03_q05.json": geometric_binary_model(0.3, 0.5),
@@ -107,7 +106,7 @@ def fixture_texts():
             [0.0, 0.0, 0.0, 1.0],
         ],
     }
-    texts["identity4.json"] = json.dumps(identity4, indent=2, sort_keys=True) + "\n"
+    texts["identity4.json"] = _json(identity4)
     texts["identity4_channel.csv"] = (
         "a,b,c,d\n1.0,0.0,0.0,0.0\n0.0,1.0,0.0,0.0\n0.0,0.0,1.0,0.0\n0.0,0.0,0.0,1.0\n"
     )
@@ -116,7 +115,7 @@ def fixture_texts():
     bad = dict(identity4)
     bad["channel"] = [row[:] for row in identity4["channel"]]
     bad["channel"][1][1] = 0.97
-    texts["bad_rowsum.json"] = json.dumps(bad, indent=2, sort_keys=True) + "\n"
+    texts["bad_rowsum.json"] = _json(bad)
 
     families = {
         "additive_gaussian": {"family": "additive_gaussian", "params": {"sigma_x": 1.0, "sigma_n": 1.0}},
@@ -126,7 +125,7 @@ def fixture_texts():
         "geometric_binary": {"family": "geometric_binary", "params": {"p": 0.3, "q": 0.5}},
     }
     for name, spec in families.items():
-        texts[f"family_{name}.json"] = json.dumps(spec, indent=2, sort_keys=True) + "\n"
+        texts[f"family_{name}.json"] = _json(spec)
     return texts
 
 

@@ -23,7 +23,6 @@ argparse still writes every help text and decides every usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -45,7 +44,7 @@ from .leakage import (
     pml,
     tail_probability,
 )
-from .modelio import _symbol_from_text, load_model, parse_json
+from .modelio import _csv, _json, _symbol_from_text, load_model, parse_json
 from .oracles import (
     GainFunction,
     check_epsilon,
@@ -62,46 +61,6 @@ EXIT_ORACLE = 2
 EXIT_CAPACITY = 3
 
 GAP_TOL = 1e-10
-
-_encode = json.JSONEncoder(allow_nan=False).encode
-#: json's indented encoder, which writes a scalar (or refuses NaN) as json.dumps(indent=2) does
-_scalar = json.JSONEncoder(indent=2, allow_nan=False).encode
-_str = json.encoder.encode_basestring_ascii
-
-
-def _json(document: dict) -> str:
-    """``json.dumps(document, indent=2, sort_keys=True, allow_nan=False)`` and a newline, for a
-    document with string keys, each infinity written as "inf" or "-inf"; a list of floats is
-    one C encoder call."""
-    return _text(document, "\n") + "\n"
-
-
-def _text(value, newline: str) -> str:
-    """``value``'s JSON text, its inner lines indented two spaces past ``newline``."""
-    inner = newline + "  "
-    if isinstance(value, dict):
-        items = [f"{_str(k)}: {_text(v, inner)}" for k, v in sorted(value.items())]
-    elif isinstance(value, (list, tuple)):
-        kinds = set(map(type, value))
-        if kinds == {float} and all(map(math.isfinite, value)):  # no float's text holds ", "
-            items = [_encode(value)[1:-1].replace(", ", "," + inner)]
-        else:
-            items = map(_str, value) if kinds == {str} else [_text(v, inner) for v in value]
-    elif not isinstance(value, float) or math.isnan(value):  # _scalar refuses NaN
-        return _scalar(value)
-    else:
-        return float.__repr__(value) if math.isfinite(value) else f'"{value}"'  # "inf", "-inf"
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    if not value:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
-
-
-def _csv(header_row, columns) -> str:
-    """CSV text from a header and equal-length columns (str(inf) is 'inf')."""
-    lines = [",".join(header_row)]
-    lines.extend(map(",".join, zip(*[map(str, column) for column in columns])))
-    return "\n".join(lines) + "\n"
 
 
 def profile_document(profile: LeakageProfile, units: str = "nats") -> dict:
@@ -120,6 +79,8 @@ def profile_document(profile: LeakageProfile, units: str = "nats") -> dict:
 
 
 def cmd_compute(args) -> tuple:
+    if args.outcome is not None and args.format == "csv":
+        raise ValidationError(f"--format csv writes a whole profile, not --outcome {args.outcome}")
     model = load_model(args.channel, args.prior)
     units = args.units
     if args.outcome is not None:

@@ -402,9 +402,7 @@ def discretize_poisson_binomial(
     k = max(1, truncate_countable("poisson", lam_noise, tail).alphabet.size - 1)
     n_y = max(n_x + k, int(y_max))
     ys = np.arange(0, n_y + 1)
-    matrix = np.zeros((n_x + 1, n_y + 1))
-    for x in range(n_x + 1):
-        matrix[x, x:] = stats.poisson.pmf(ys[x:] - x, lam_noise)
+    matrix = stats.poisson.pmf(ys - np.arange(n_x + 1)[:, None], lam_noise)  # 0 where y < x
     deficits = np.maximum(1.0 - matrix.sum(axis=1), 0.0)
     channel = DiscreteChannel(
         prior.alphabet, Alphabet([int(y) for y in ys]), matrix, deficits

@@ -141,7 +141,7 @@ def uniform(alphabet: Alphabet) -> DiscreteDistribution:
     return DiscreteDistribution(alphabet, np.full(n, 1.0 / n))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DiscreteChannel:
     """Row-stochastic conditional family P_{Y|X}.
 

@@ -1,4 +1,4 @@
-"""Reading and writing models.
+"""Every pmlkit file format: model JSON and CSV in; model JSON and report JSON and CSV out.
 
 JSON model files carry the whole model:
 
@@ -43,6 +43,47 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", in
 #: why float() refused a model key's value; only a channel row can still hold a JSON object
 _REFUSALS = {OverflowError: "holds an integer beyond the float range",
              TypeError: "entries must be JSON numbers, got a JSON object"}
+
+
+_encode = json.JSONEncoder(allow_nan=False).encode
+#: json's indented encoder, which writes a scalar (or refuses NaN) as json.dumps(indent=2) does
+_scalar = json.JSONEncoder(indent=2, allow_nan=False).encode
+_str = json.encoder.encode_basestring_ascii
+
+
+def _json(document: dict) -> str:
+    """``json.dumps(document, indent=2, sort_keys=True, allow_nan=False)`` and a newline, for a
+    document with string keys, each infinity written as "inf" or "-inf"; a list of floats is
+    one C encoder call."""
+    return _text(document, "\n") + "\n"
+
+
+def _text(value, newline: str) -> str:
+    """``value``'s JSON text, its inner lines indented two spaces past ``newline``."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{_str(k)}: {_text(v, inner)}" for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds == {float} and all(map(math.isfinite, value)):  # no float's text holds ", "
+            items = [_encode(value)[1:-1].replace(", ", "," + inner)]
+        else:
+            items = map(_str, value) if kinds == {str} else [_text(v, inner) for v in value]
+    elif not isinstance(value, float) or math.isnan(value):  # _scalar refuses NaN
+        return _scalar(value)
+    else:
+        return float.__repr__(value) if math.isfinite(value) else f'"{value}"'  # "inf", "-inf"
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _csv(header_row, columns) -> str:
+    """CSV text from a header and equal-length columns (str(inf) is 'inf')."""
+    lines = [",".join(header_row)]
+    lines.extend(map(",".join, zip(*[map(str, column) for column in columns])))
+    return "\n".join(lines) + "\n"
 
 
 def _symbol(raw):
@@ -111,16 +152,17 @@ def load_model_json(path: PathLike) -> JointModel:
 
 
 def save_model_json(model: JointModel, path: PathLike) -> None:
-    doc = {
-        "alphabet_x": list(model.input_alphabet.symbols),
-        "alphabet_y": list(model.output_alphabet.symbols),
-        "prior": model.prior.probs.tolist(),
-        "truncation_deficit": model.prior.truncation_deficit,
-        "channel": model.channel.matrix.tolist(),
-    }
+    doc = {"alphabet_x": model.input_alphabet, "alphabet_y": model.output_alphabet,
+           "prior": model.prior.probs.tolist(), "channel": model.channel.matrix.tolist(),
+           "truncation_deficit": model.prior.truncation_deficit}
+    for key in ("alphabet_x", "alphabet_y"):  # labels as load_model_json reads them: 2.0 as 2
+        try:
+            doc[key] = list(map(_symbol, doc[key]))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {key}: {exc}") from None
     if np.any(model.channel.row_deficits):
         doc["row_deficits"] = model.channel.row_deficits.tolist()
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(_json(doc), encoding="utf-8")
 
 
 def _symbol_from_text(text: str):
@@ -172,6 +214,8 @@ def load_model(channel_path: PathLike, prior_path: PathLike = None) -> JointMode
     """Load a model from a combined JSON file or a CSV channel/prior pair."""
     channel_path = Path(channel_path)
     if channel_path.suffix.lower() == ".json":
+        if prior_path is not None:
+            raise ValidationError(f"{channel_path} holds its prior; got a prior file {prior_path}")
         return load_model_json(channel_path)
     if prior_path is None:
         raise ValidationError("CSV channels require a separate prior file")

@@ -42,7 +42,7 @@ STRATEGY_ALPHABET_CAP = 4
 STRATEGY_RESOLUTION_CAP = 50
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class GainFunction:
     """Dense non-negative gain table g(x, w) over secrets x and estimates w."""
 

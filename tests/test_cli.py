@@ -532,14 +532,25 @@ def test_tail_identity(capsys, fixtures_dir):
          "simplex resolution must be >= 1, got 0\n"),
         (["verify", "identity4.json", "--oracle", "strategies", "--resolution", "-2"],
          "simplex resolution must be >= 1, got -2\n"),
+        (["verify", "identity4.json", "--oracle", "functions", "--max-groups", "0"],
+         "max_groups must be a positive integer\n"),
+        (["continuous", "--family", "family_geometric_binary.json", "--outcome", "2"],
+         "geometric_binary outcomes are 0 or 1, got 2.0\n"),
+        (["compute", "identity4.json", "--outcome", "a", "--format", "csv"],
+         "--format csv writes a whole profile, not --outcome a\n"),
+        *(([command, "identity4.json", "identity4_prior.csv", *options],
+           "identity4.json holds its prior; got a prior file ")
+          for command, *options in (["compute"], ["tail", "--eps", "1"],
+                                    ["verify", "--oracle", "subset"])),
     ],
     ids=["tail_nan", "subset_nan", "partition_nan", "functions_nan", "strategies_nan",
          "partition_inf", "strategies_no_gains", "strategies_negative_gains",
          "partition_negative_bits", "strategies_no_resolution",
-         "strategies_negative_resolution"],
+         "strategies_negative_resolution", "functions_no_groups", "geometric_binary_outcome_2",
+         "compute_csv_outcome", "compute_json_prior", "tail_json_prior", "verify_json_prior"],
 )
 def test_unusable_option_exits_one(capsys, fixtures_dir, argv, message):
-    code, out, err = run(capsys, *(str(fixtures_dir / a) if a.endswith(".json") else a
+    code, out, err = run(capsys, *(str(fixtures_dir / a) if a.endswith((".json", ".csv")) else a
                                    for a in argv))
     assert (code, out) == (1, "")
     assert message in err

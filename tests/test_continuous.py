@@ -143,6 +143,34 @@ def test_parameter_validation():
 
 
 @pytest.mark.parametrize(
+    "make, message",
+    [
+        *((lambda domain=domain: DensityModel(domain, np.ones_like, lambda y, x: np.ones_like(x)),
+           f"x_domain must be a finite interval, got {domain!r}")
+          for domain in ((-math.inf, 1.0), (0.0, math.nan), (1.0, 0.0))),
+        (lambda: mixture_limit_check(1.0, 0.0), "y_magnitude must be positive"),
+        (lambda: discretize_poisson_binomial(2.0, 0.5, -1), "y_max must be a non-negative integer"),
+    ],
+    ids=["infinite_domain", "nan_domain", "empty_domain", "mixture_at_zero", "negative_y_max"],
+)
+def test_continuous_helpers_refuse_by_name(make, message):
+    with pytest.raises(ValidationError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("lam, p, y_max", [(2.0, 0.5, 10), (1.5, 0.9, 0), (3.0, 0.7, 40)])
+def test_poisson_binomial_kernel_equals_its_rows(lam, p, y_max):
+    # the kernel is one pmf call over y - x; row x is Pois(lam (1 - p)) shifted by x
+    channel = discretize_poisson_binomial(lam, p, y_max).channel
+    ys = np.array(channel.output_alphabet.symbols)
+    for x, row in zip(channel.input_alphabet, channel.matrix):
+        want = np.zeros(len(ys))
+        want[x:] = stats.poisson.pmf(ys[x:] - x, lam * (1.0 - p))
+        assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
     "family,params",
     [
         pytest.param("additive_gaussian", {"sigma_x": sx, "sigma_n": sn}, id=f"{sx}-{sn}")

@@ -7,6 +7,7 @@ from pmlkit import (
     Alphabet,
     DiscreteChannel,
     DiscreteDistribution,
+    GainFunction,
     JointModel,
     constant_channel,
     geometric_binary_model,
@@ -117,6 +118,27 @@ def test_marginal_alphabet_mismatch():
         marginal(prior, channel)
 
 
+def test_compose_alphabet_mismatch():
+    channel = identity_channel(Alphabet([0, 1]))
+    with pytest.raises(AlphabetMismatchError, match="input alphabet must match output alphabet"):
+        channel.compose(identity_channel(Alphabet([0, 1, 2])))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: identity_channel(Alphabet(["a", "b"])),
+     lambda: GainFunction(Alphabet(["a", "b"]), Alphabet([0]), np.ones((2, 1)))],
+    ids=["channel", "gain_function"],
+)
+def test_array_holders_compare_by_identity(make):
+    # a generated __eq__ would compare the arrays, whose truth value is ambiguous
+    one, twin = make(), make()
+    assert one == one and one != twin
+    assert one in [twin, one] and twin not in [one]
+    assert hash(one) == hash(one)
+    assert len({one, twin, one}) == 2 and one in {one} and twin not in {one}
+
+
 def test_truncate_geometric_support_and_deficit():
     dist = truncate_countable("geometric", 0.5, 1e-12)
     assert dist.alphabet.symbols == tuple(range(1, 41))
@@ -140,6 +162,24 @@ def test_truncate_rejects_coarse_tail_and_unknown_law():
         truncate_countable("geometric", 0.3, 0.5)
     with pytest.raises(UnsupportedLawError):
         truncate_countable("zipf", 1.5, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: truncate_countable("geometric", 1.5, 1e-12),
+         "geometric parameter must be in (0, 1), got 1.5"),
+        (lambda: truncate_countable("poisson", -1.0, 1e-12),
+         "poisson rate must be positive, got -1.0"),
+        (lambda: geometric_binary_model(0.3, 1.0),
+         "kernel parameter q must be in (0, 1), got 1.0"),
+    ],
+    ids=["geometric_p", "poisson_rate", "geometric_binary_q"],
+)
+def test_countable_law_parameters_refused(make, message):
+    with pytest.raises(ValidationError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def test_bayes_consistency_random_models():

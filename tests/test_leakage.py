@@ -216,6 +216,22 @@ def test_absolute_continuity_checks():
     assert renyi_inf(p, q).is_infinite
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: LeakageProfile(Alphabet([0, 1]), [0.0, 0.0], uniform(Alphabet(["a", "b"]))),
+         "weights must live on the outcome alphabet"),
+        (lambda: absolute_continuity_witness(dist([0.5, 0.5]), dist([0.5, 0.25, 0.25])),
+         "absolute continuity check requires a shared alphabet"),
+    ],
+    ids=["profile_weights", "absolute_continuity"],
+)
+def test_alphabet_mismatch_refused(make, message):
+    with pytest.raises(AlphabetMismatchError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_profile_invariant_zero_weight_zero_leakage():
     a = Alphabet([0, 1])
     weights = DiscreteDistribution(a, np.array([1.0, 0.0]))

@@ -18,7 +18,7 @@ from pmlkit.modelio import (
     load_model_json,
     save_model_json,
 )
-from conftest import random_full_support_model
+from conftest import FIXTURES, random_full_support_model
 
 
 def test_json_round_trip(tmp_path):
@@ -132,6 +132,60 @@ def test_round_trip_keeps_row_deficits(tmp_path, make):
     assert loaded.prior.truncation_deficit == model.prior.truncation_deficit
     written = json.loads(path.read_text())
     assert ("row_deficits" in written) == bool(np.any(model.channel.row_deficits))
+
+
+def _integral_float_label_model():
+    """Labels 1.0, 2.0 and -0.0, which the reader reads as the ints 1, 2 and 0."""
+    a, b = Alphabet(["a", 1.0, 2.0]), Alphabet([-0.0, 3.0])
+    channel = DiscreteChannel(a, b, np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]]))
+    return JointModel(DiscreteDistribution(a, np.array([0.2, 0.3, 0.5])), channel)
+
+
+def _bits(model) -> tuple:
+    """Every float of ``model``, as bytes."""
+    return (model.prior.probs.tobytes(), np.float64(model.prior.truncation_deficit).tobytes(),
+            model.channel.matrix.tobytes(), model.channel.row_deficits.tobytes())
+
+
+@pytest.mark.parametrize(
+    "make, symbols",
+    [
+        *(pytest.param(lambda name=name: load_model_json(FIXTURES / name), None, id=name)
+          for name in ("identity4.json", "cap10x8.json", "geometric_binary_p03_q05.json",
+                       "poisson_binomial_lam2_p05.json")),
+        pytest.param(_deficit_channel_model, None, id="row_deficits"),
+        pytest.param(_integral_float_label_model, (("a", 1, 2), (0, 3)), id="integral_floats"),
+    ],
+)
+def test_saved_model_reads_back_bit_for_bit(tmp_path, make, symbols):
+    model = make()
+    path = tmp_path / "model.json"
+    save_model_json(model, path)
+    loaded = load_model_json(path)
+    want = symbols or (model.input_alphabet.symbols, model.output_alphabet.symbols)
+    got = (loaded.input_alphabet.symbols, loaded.output_alphabet.symbols)
+    assert got == want
+    assert [list(map(type, s)) for s in got] == [list(map(type, s)) for s in want]
+    assert _bits(loaded) == _bits(model)
+
+
+@pytest.mark.parametrize("key", ["alphabet_x", "alphabet_y"])
+@pytest.mark.parametrize(
+    "label, message",
+    [(0.5, "symbols must be strings or integers, got 0.5"), (True, "invalid symbol True"),
+     (None, "symbols must be strings or integers, got None")],
+    ids=["fraction", "bool", "none"],
+)
+def test_labels_the_reader_refuses_are_not_written(tmp_path, key, label, message):
+    odd, plain = Alphabet(["a", label]), Alphabet(["a", "b"])
+    a, b = (odd, plain) if key == "alphabet_x" else (plain, odd)
+    model = JointModel(DiscreteDistribution(a, np.array([0.5, 0.5])),
+                       DiscreteChannel(a, b, np.eye(2)))
+    path = tmp_path / "model.json"
+    with pytest.raises(ValidationError) as exc:
+        save_model_json(model, path)
+    assert str(exc.value) == f"{path}: {key}: {message}"
+    assert not path.exists()
 
 
 def test_row_deficits_length_checked(tmp_path):

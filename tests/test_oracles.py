@@ -82,10 +82,21 @@ class TestGainRatio:
             for y in model.output_alphabet:
                 assert math.log(gain_ratio(model, y, g)) <= pml(model, y).nats + 1e-10
 
+    def test_all_zero_gain_reads_zero_over_zero_as_one(self):
+        model = random_full_support_model(np.random.default_rng(3), 4, 3)
+        g = GainFunction(model.input_alphabet, Alphabet(["w"]), np.zeros((4, 1)))
+        assert gain_ratio(model, "y0", g) == 1.0
+
     def test_rejects_negative_gains(self):
         a = Alphabet([0, 1])
         with pytest.raises(ValidationError):
             GainFunction(a, a, np.array([[1.0, -1.0], [0.0, 0.0]]))
+
+    def test_rejects_a_table_of_the_wrong_shape(self):
+        a = Alphabet([0, 1])
+        with pytest.raises(ValidationError) as exc:
+            GainFunction(a, Alphabet(["w"]), np.ones((2, 2)))
+        assert str(exc.value) == "gain table shape (2, 2) does not match alphabets (2, 1)"
 
 
 class TestSubsetOracle:
@@ -386,6 +397,10 @@ class TestGainConstructors:
         sub = DiscreteChannel(a, a, np.eye(2))
         with pytest.raises(ValidationError):
             make_approx_gain(sub, 1.0)
+
+    def test_approx_gain_requires_a_positive_radius(self):
+        with pytest.raises(ValidationError, match="radius must be positive, got 0"):
+            make_approx_gain(identity_channel(Alphabet([1, 2])), 0)
 
 
 # The loop versions the array oracles replaced, kept as references.
