@@ -10,12 +10,13 @@ as ``python -m pmlkit.cli`` in a fresh interpreter with that checkout's
 inputs, so both sides read the same files under the same names.  The inputs
 are the model and family fixtures of CHANGE plus seeded Dirichlet models
 (the shapes the benchmark's ``verify_mix`` uses, one with zero-prior atoms
-and outcomes no input produces, and one with 11 and one with 21 inputs, on
-either side of the event oracles' cap) and a model whose prior holds a
-subnormal atom.  Every oracle runs on every input with the option values
-below, in nats and in bits, so capacity and validation refusals are
-compared too.  ``compute`` and ``tail`` run with their options below on
-the fixtures, the CSV pair, the model with zero-prior atoms and two seeded
+and outcomes no input produces, one with 11 and one with 21 inputs, on
+either side of the event oracles' cap, and one with 20 inputs whose
+zero-prior atoms lie both below and above atom 13, where the event oracles'
+blocks begin) and a model whose prior holds a subnormal atom.  Every oracle
+runs on every input with the option values below, in nats and in bits, so
+capacity and validation refusals are compared too.  ``compute`` and
+``tail`` run with their options below on the fixtures, the CSV pair, the model with zero-prior atoms and two seeded
 wide models (16 and 64 inputs by 2000 outcomes), whose reports carry one
 float per outcome.  ``SINGLE_REQUESTS`` adds a CSV pair whose channel has
 a blank line before its bad cell, so the error names the file's line, a
@@ -24,9 +25,9 @@ equal to a printed bits value, a model whose prior and row deficits add up
 past the accepted maximum, a CSV pair labelled ``1.0`` and ``2`` asked for
 outcome ``1``, inline family and grid specs that are not JSON, a negative
 partition ``--eps`` in bits, a strategies ``--resolution`` of 0, a
-geometric-binary family asked for outcome 2, and two requests that must be
+geometric-binary family asked for outcome 2, two requests that must be
 refused: a JSON model given with a prior file, and ``--format csv`` with
-``--outcome``.
+``--outcome``, and a CSV profile whose outcome label holds a comma.
 ``continuous`` runs each family, given as a fixture file and inline, with
 the options below: negative and exponent outcomes, ``=`` forms,
 abbreviations, grid checks with inline and file grids, and a grid file
@@ -60,7 +61,8 @@ BLANK_CELLS_PAIR = {"blank_cells_channel.csv": "a,b\n,\n0.5,0.5\n,,\n0.25,0.75\n
 INTEGRAL_LABEL_PAIR = {"integral_channel.csv": "1.0,2\n1,0\n0,1\n",
                        "integral_prior.csv": "1.0,0.5\n2,0.5\n"}
 #: models written as JSON: prior and row deficits of 1e-9 each, whose marginal
-#: drops 2e-9; and a prior atom of 5e-324, whose partition cell's gain overflows
+#: drops 2e-9; a prior atom of 5e-324, whose partition cell's gain overflows;
+#: and an outcome label that a CSV cell must quote
 MODELS = {
     "deficits1e-9.json": {"alphabet_x": ["a", "b"], "alphabet_y": [0, 1],
                           "prior": [0.5, 0.5 - 1e-9], "truncation_deficit": 1e-9,
@@ -69,6 +71,8 @@ MODELS = {
     "subnormal_atom.json": {"alphabet_x": [0, 1, 2], "alphabet_y": [0, 1],
                             "prior": [0.5, 0.5, 5e-324],
                             "channel": [[0.5, 0.5], [0.9, 0.1], [0.01, 0.99]]},
+    "comma_label.json": {"alphabet_x": [0, 1], "alphabet_y": ["a,b", "c"],
+                         "prior": [0.5, 0.5], "channel": [[1, 0], [0.2, 0.8]]},
 }
 #: requests on one input each; 20.978589993105462 is outcome 13's leakage in bits
 SINGLE_REQUESTS = (
@@ -86,6 +90,7 @@ SINGLE_REQUESTS = (
     ["continuous", "--family", "family_geometric_binary.json", "--outcome", "2"],
     ["compute", "identity4.json", "identity4_prior.csv"],
     ["compute", "identity4.json", "--outcome", "a", "--format", "csv"],
+    ["compute", "comma_label.json", "--format", "csv"],
 )
 #: (inputs, outputs) of the seeded full-support models
 SHAPES = ((10, 8), (12, 6), (16, 7), (20, 8))
@@ -104,8 +109,11 @@ OPTIONS = (
 #: (inputs, outputs) of the seeded wide models, which only compute and tail read
 WIDE_SHAPES = ((16, 2000), (64, 2000))
 #: (inputs, outputs) of seeded full-support models around the event oracles'
-#: cap of 20, drawn last so that no earlier input changes
+#: cap of 20, drawn after the others so that no earlier input changes
 CAP_SHAPES = ((11, 6), (21, 6))
+#: zero-prior atoms of the seeded 20-input model, drawn last: below atom 13 and
+#: above it, where the event oracles score blocks of 2^13 events
+BLOCK_ZEROS = (2, 7, 13, 17)
 #: each outcome option names an outcome of some inputs and of no other
 REPORT_OPTIONS = (
     *(["compute", *options] for options in (
@@ -198,6 +206,10 @@ def write_inputs(change: Path, directory: Path) -> tuple:
         name = f"dirichlet{n}x{m}.json"
         _write_model(directory / name, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m), n))
         inputs.append([name])
+    prior = rng.dirichlet(np.ones(20))
+    prior[list(BLOCK_ZEROS)] = 0.0
+    _write_model(directory / "zeros20x6.json", prior / prior.sum(), rng.dirichlet(np.ones(6), 20))
+    inputs.append(["zeros20x6.json"])
     inputs.append(["subnormal_atom.json"])
     reports = [[name] for name in FIXTURES] + [list(CSV_PAIR), ["zeros9x6.json"], *wide]
     return inputs, reports, [["--family", spec] for spec in specs]

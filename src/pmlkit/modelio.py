@@ -23,6 +23,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import re
 from pathlib import Path
 from typing import Union
 
@@ -49,6 +51,8 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 #: json's indented encoder, which writes a scalar (or refuses NaN) as json.dumps(indent=2) does
 _scalar = json.JSONEncoder(indent=2, allow_nan=False).encode
 _str = json.encoder.encode_basestring_ascii
+#: a CSV cell holding one of these is quoted (RFC 4180)
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _json(document: dict) -> str:
@@ -80,18 +84,27 @@ def _text(value, newline: str) -> str:
 
 
 def _csv(header_row, columns) -> str:
-    """CSV text from a header and equal-length columns (str(inf) is 'inf')."""
+    """CSV text from a header and equal-length columns (str(inf) is 'inf').  The first column
+    labels the rows: when some label holds a comma, a quote or a line break, each such label
+    is quoted as RFC 4180 says, its quotes doubled."""
+    labels, *rest = columns
+    labels = list(map(str, labels))
+    if _NEEDS_QUOTES.search("".join(labels)):
+        labels = ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c
+                  for c in labels]
     lines = [",".join(header_row)]
-    lines.extend(map(",".join, zip(*[map(str, column) for column in columns])))
+    lines.extend(map(",".join, zip(labels, *[map(str, column) for column in rest])))
     return "\n".join(lines) + "\n"
 
 
 def _symbol(raw):
-    """Keep integer labels as ints so JSON and CSV models agree."""
+    """Keep integer labels as ints so JSON and CSV models agree; a numpy integer is its int."""
     if isinstance(raw, bool):
         raise ValidationError(f"invalid symbol {raw!r}")
     if isinstance(raw, (int, str)):
         return raw
+    if isinstance(raw, numbers.Integral):  # not numpy's bool, which is no Integral
+        return int(raw)
     if isinstance(raw, float) and raw.is_integer():
         return int(raw)
     raise ValidationError(f"symbols must be strings or integers, got {raw!r}")

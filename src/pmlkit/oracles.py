@@ -8,7 +8,9 @@ likelihood-ratio shortcut that ``pmlkit.leakage`` uses.  Agreement
 between the two routes is what the verification suite checks.
 
 Enumeration caps are hard errors: an oracle that silently under-searches
-is worse than none.
+is worse than none.  The subset and function oracles take 2^n time for n
+inputs but hold only blocks of at most 2^16 events: about 1 MiB at the cap
+of 20 inputs, not the 16 MiB of a posterior and a prior table of 2^20 masses.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .errors import (
 
 #: largest input alphabet for the subset and function oracles, which score 2^n events
 SUBSET_CAP = 20
+#: event tables of up to 2^16 masses are built whole, larger ones in blocks of 2^13
+WHOLE_TABLE_BITS = 16
+BLOCK_BITS = 13
 #: largest estimate alphabet / resolution for simplex enumeration
 STRATEGY_ALPHABET_CAP = 4
 STRATEGY_RESOLUTION_CAP = 50
@@ -112,11 +117,18 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
     return s
 
 
+def _low_atoms(n: int) -> int:
+    """How many of n atoms span one block of events: all of them up to
+    2^WHOLE_TABLE_BITS events, else BLOCK_BITS (a 64 KiB block of floats)."""
+    return n if n <= WHOLE_TABLE_BITS else BLOCK_BITS
+
+
 @lru_cache(maxsize=1)
 def _prior_events(prior: DiscreteDistribution) -> Tuple[np.ndarray, np.ndarray]:
-    """The prior's event masses and the masks of its null events (the subsets
-    of its zero atoms), built once per prior rather than once per outcome."""
-    probs = prior.probs
+    """The prior's masses on the events of its low atoms and the masks of the
+    null ones (the subsets of its zero low atoms), built once per prior
+    rather than once per outcome."""
+    probs = prior.probs[: _low_atoms(prior.alphabet.size)]
     sums = _subset_sums(probs)
     sums.setflags(write=False)
     # a mask is the sum of its atoms' bit values: 2^z entries for z zero atoms
@@ -124,31 +136,59 @@ def _prior_events(prior: DiscreteDistribution) -> Tuple[np.ndarray, np.ndarray]:
     return sums, null
 
 
-def _event_ratios(model: JointModel, y: Symbol) -> np.ndarray:
-    """P_{X|y}(A) / P_X(A) for every event A, indexed by its bit mask.
+def _event_extremes(model: JointModel, y: Symbol) -> Tuple[float, float]:
+    """The largest P_{X|y}(A) / P_X(A) over the non-empty events A, and the
+    ratio of the full event.
 
-    Bayes inversion gives a null event no posterior mass, so its 0/0 reads
-    1, as in _set_ratios; no other event divides by zero.  Both the subset
-    and the function oracle score these 2^n events, so the input alphabet
-    is capped at SUBSET_CAP symbols.
+    The masks sharing their high atoms (those from _low_atoms(n) on) form
+    one block, built from the block without its top high atom plus that
+    atom's mass: the recurrence of _subset_sums, so every mass has the same
+    bits as in one 2^n table.  The high-atom subsets are walked depth first,
+    with one buffer pair per depth, so no 2^n array is ever held.  Bayes
+    inversion gives a null event no posterior mass, so its 0/0 reads 1, as
+    in _set_ratios; no other event divides by zero.  Both the subset and the
+    function oracle score these 2^n events, so the input alphabet is capped
+    at SUBSET_CAP symbols.
     """
     n = model.input_alphabet.size
     if n > SUBSET_CAP:
         raise CapacityError(
             f"subset and function oracles enumerate 2^n events; n={n} exceeds cap {SUBSET_CAP}"
         )
-    ratios = _subset_sums(_posterior(model, y).probs)
-    prior_sums, null = _prior_events(model.prior)
+    post = _posterior(model, y).probs
+    prior = model.prior.probs
+    prior_low, null = _prior_events(model.prior)
+    k = _low_atoms(n)
+    # depth d holds the block of a d-atom high subset: posterior and prior masses,
+    # and whether every one of its high atoms has prior 0
+    posts = [_subset_sums(post[:k])] + [np.empty(1 << k) for _ in range(k, n)]
+    priors = [prior_low] + [np.empty(1 << k) for _ in range(k, n)]
+    nulls = [True] * (n - k + 1)
+    ratios = posts[0] if k == n else np.empty(1 << k)
+    first = full = -math.inf
+    stack = [(0, k - 1)]  # (depth, top atom) of each block still to score
     with np.errstate(invalid="ignore"):
-        np.divide(ratios, prior_sums, out=ratios)
-    ratios[null] = 1.0
-    return ratios
+        while stack:
+            d, top = stack.pop()
+            if d:
+                np.add(posts[d - 1], post[top], out=posts[d])
+                np.add(priors[d - 1], prior[top], out=priors[d])
+                nulls[d] = nulls[d - 1] and prior[top] == 0.0
+            np.divide(posts[d], priors[d], out=ratios)
+            if nulls[d]:
+                ratios[null] = 1.0
+            # mask 0, the empty event, is not scored
+            first = max(first, ratios[1:].max() if d == 0 else ratios.max())
+            if d == n - k:
+                full = ratios[-1]
+            stack.extend((d + 1, atom) for atom in range(n - 1, top, -1))
+    return float(first), float(full)
 
 
 def subset_oracle(model: JointModel, y: Symbol) -> float:
     """log max over all non-empty events A of P_{X|y}(A) / P_X(A)."""
     # the full event's ratio is about 1, so the maximum is positive
-    return math.log(float(_event_ratios(model, y)[1:].max()))
+    return math.log(_event_extremes(model, y)[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,11 +281,11 @@ def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) ->
     {A, E \\ A}.  So the value is the largest event ratio, at least 1 (the
     empty event's 0/0 reads 1); with k = 1 the only grouping is {E}.
     """
-    ratios = _event_ratios(model, y)  # first, so the cap binds whatever max_groups is
+    first, full = _event_extremes(model, y)  # first, so the cap binds whatever max_groups is
     if max_groups < 1:
         raise ValidationError("max_groups must be a positive integer")
-    best = ratios.max() if min(max_groups, model.input_alphabet.size) >= 2 else ratios[-1]
-    return math.log(max(1.0, float(best)))
+    best = first if min(max_groups, model.input_alphabet.size) >= 2 else full
+    return math.log(max(1.0, best))
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -64,6 +66,22 @@ def test_compute_csv_format(capsys, fixtures_dir):
     lines = out.strip().splitlines()
     assert lines[0] == "outcome,p_y,leakage_nats"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("label", ["a,b", 'say "hi"', "two\nlines", "cr\rlf"])
+def test_compute_csv_quotes_labels_that_need_it(capsys, tmp_path, label):
+    # RFC 4180: a cell holding a comma, a quote or a line break is quoted,
+    # its quotes doubled, so every row keeps the header's three cells
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"alphabet_x": [0, 1], "alphabet_y": [label, "c"],
+                                "prior": [0.5, 0.5], "channel": [[1, 0], [0.2, 0.8]]}))
+    code, out, err = run(capsys, "compute", str(path), "--format", "csv")
+    assert code == 0, err
+    quoted = '"' + label.replace('"', '""') + '"'
+    assert out.startswith(f"outcome,p_y,leakage_nats\n{quoted},0.6,")
+    assert list(csv.reader(io.StringIO(out, newline=""))) == [
+        ["outcome", "p_y", "leakage_nats"], [label, "0.6", "0.5108256237659907"],
+        ["c", "0.4", "0.6931471805599453"]]
 
 
 def test_compute_matches_golden(capsys, fixtures_dir):

@@ -10,6 +10,8 @@ from pmlkit import (
     JointModel,
     discretize_poisson_binomial,
     geometric_binary_model,
+    identity_channel,
+    uniform,
 )
 from pmlkit.cli import main
 from pmlkit.errors import ValidationError
@@ -141,6 +143,12 @@ def _integral_float_label_model():
     return JointModel(DiscreteDistribution(a, np.array([0.2, 0.3, 0.5])), channel)
 
 
+def _numpy_integer_label_model():
+    """Labels np.int64(0) and np.int64(1), which are written and read back as 0 and 1."""
+    a = Alphabet(np.arange(2))
+    return JointModel(uniform(a), identity_channel(a))
+
+
 def _bits(model) -> tuple:
     """Every float of ``model``, as bytes."""
     return (model.prior.probs.tobytes(), np.float64(model.prior.truncation_deficit).tobytes(),
@@ -155,6 +163,7 @@ def _bits(model) -> tuple:
                        "poisson_binomial_lam2_p05.json")),
         pytest.param(_deficit_channel_model, None, id="row_deficits"),
         pytest.param(_integral_float_label_model, (("a", 1, 2), (0, 3)), id="integral_floats"),
+        pytest.param(_numpy_integer_label_model, ((0, 1), (0, 1)), id="numpy_integers"),
     ],
 )
 def test_saved_model_reads_back_bit_for_bit(tmp_path, make, symbols):
@@ -173,8 +182,9 @@ def test_saved_model_reads_back_bit_for_bit(tmp_path, make, symbols):
 @pytest.mark.parametrize(
     "label, message",
     [(0.5, "symbols must be strings or integers, got 0.5"), (True, "invalid symbol True"),
-     (None, "symbols must be strings or integers, got None")],
-    ids=["fraction", "bool", "none"],
+     (None, "symbols must be strings or integers, got None"),
+     (np.True_, "symbols must be strings or integers, got np.True_")],
+    ids=["fraction", "bool", "none", "numpy_bool"],
 )
 def test_labels_the_reader_refuses_are_not_written(tmp_path, key, label, message):
     odd, plain = Alphabet(["a", label]), Alphabet(["a", "b"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -695,11 +696,61 @@ class TestPriorEventMemo:
         for model in (full, zeros):
             y = _outcomes(model)[0]
             assert subset_oracle(model, y) == _reference_subset_oracle(model, y)
-            masked = oracles._set_ratios(
-                oracles._subset_sums(posterior(model, y).probs),
-                oracles._subset_sums(model.prior.probs),
-            )
-            assert np.array_equal(oracles._event_ratios(model, y), masked)
+            assert oracles._event_extremes(model, y) == _full_table_extremes(model, y)
+
+
+def _full_table_extremes(model, y):
+    """The largest ratio over the non-empty events and the full event's
+    ratio, read from one 2^n-entry table of each law's event masses."""
+    masked = oracles._set_ratios(
+        oracles._subset_sums(posterior(model, y).probs),
+        oracles._subset_sums(model.prior.probs),
+    )
+    return float(masked[1:].max()), float(masked[-1])
+
+
+def _with_zero_atoms(seed, n, zeros):
+    """A full-support model on n inputs whose prior is then zeroed at ``zeros``."""
+    model = random_full_support_model(np.random.default_rng(seed), n, 3)
+    prior = model.prior.probs.copy()
+    prior[list(zeros)] = 0.0
+    prior /= prior.sum()
+    return JointModel(DiscreteDistribution(model.input_alphabet, prior), model.channel)
+
+
+class TestBlockedEvents:
+    """Above 2^16 events the event oracles score blocks of 2^13 events that
+    share their high atoms, never a whole 2^n table."""
+
+    @pytest.mark.parametrize("n", [14, 16, 17, oracles.SUBSET_CAP])
+    @pytest.mark.parametrize("where", ["low", "high", "all_high"])
+    def test_extremes_bit_for_bit_against_the_full_table(self, n, where):
+        # zero atoms among the first 13 atoms, among the later ones, or on
+        # every later one (with a low one too, so a block whose high atoms
+        # are all null also holds null events of its low atoms)
+        zeros = {"low": [1, 4, 12], "high": [2, 13, n - 1], "all_high": [5, *range(13, n)]}
+        model = _with_zero_atoms(193 + n, n, zeros[where])
+        for y in _outcomes(model):
+            first, full = _full_table_extremes(model, y)
+            assert oracles._event_extremes(model, y) == (first, full)
+            assert subset_oracle(model, y) == math.log(first)
+            for k in (2, n + 1):
+                assert randomized_function_oracle(model, y, k) == math.log(max(1.0, first))
+            assert randomized_function_oracle(model, y, 1) == math.log(max(1.0, full))
+
+    def test_the_cap_holds_blocks_not_tables(self):
+        model = random_full_support_model(np.random.default_rng(199), oracles.SUBSET_CAP, 2)
+        subset_oracle(model, "y0")  # fills the prior's memo
+        assert oracles._prior_events(model.prior)[0].size == 1 << oracles.BLOCK_BITS
+        tracemalloc.start()
+        try:
+            subset_oracle(model, "y1")
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 2^20 table of floats is 8 MiB; nothing a call allocates outlives it
+        assert peak < 2 * 2**20
+        assert left < 0.1 * 2**20
 
 
 class TestPosteriorMemo:
