@@ -27,7 +27,13 @@ outcome ``1``, inline family and grid specs that are not JSON, a negative
 partition ``--eps`` in bits, a strategies ``--resolution`` of 0, a
 geometric-binary family asked for outcome 2, two requests that must be
 refused: a JSON model given with a prior file, and ``--format csv`` with
-``--outcome``, and a CSV profile whose outcome label holds a comma.
+``--outcome``, and a CSV profile whose outcome label holds a comma.  It
+also adds ``MODEL_TEXTS``, model files at the edges of the channel reader
+(``channel`` first or twice, line breaks in and between rows, an empty
+channel, a BOM, trailing data, a trailing comma, NaN and infinite entries,
+ragged and nested rows, boolean, string and null entries, and a row nested
+100,000 deep), and a family spec nested as deep, given as a family and as a
+grid.
 ``continuous`` runs each family, given as a fixture file and inline, with
 the options below: negative and exponent outcomes, ``=`` forms,
 abbreviations, grid checks with inline and file grids, and a grid file
@@ -74,8 +80,35 @@ MODELS = {
     "comma_label.json": {"alphabet_x": [0, 1], "alphabet_y": ["a,b", "c"],
                          "prior": [0.5, 0.5], "channel": [[1, 0], [0.2, 0.8]]},
 }
+_KEYS = '"alphabet_x": ["a", "b"], "alphabet_y": [0, 1], "prior": [0.5, 0.5]'
+_ROWS = "[0.9, 0.1], [0.2, 0.8]"
+_DEEP = "[" * 100_000 + "]" * 100_000
+#: model files at the edges of the row-by-row channel reader, each read by ``compute``
+MODEL_TEXTS = {
+    "channel_first.json": f'{{"channel": [{_ROWS}], {_KEYS}}}',
+    "channel_twice.json": f'{{"channel": [[1, 0], [0, 1]], {_KEYS}, "channel": [{_ROWS}]}}',
+    "newlines.json": f'{{\n  {_KEYS},\n  "channel": [\n    [\n      0.9,\n      0.1\n    ]\n'
+                     '    ,\r\n    [0.2,\n0.8]\n  ]\n}\n',
+    "empty_channel.json": f'{{{_KEYS}, "channel": []}}',
+    "bom.json": f'\ufeff{{{_KEYS}, "channel": [{_ROWS}]}}',
+    "trailing_data.json": f'{{{_KEYS}, "channel": [{_ROWS}]}} {{}}',
+    "trailing_comma.json": f'{{{_KEYS}, "channel": [{_ROWS},]}}',
+    "nan_entry.json": f'{{{_KEYS}, "channel": [[NaN, 0.1], [0.2, 0.8]]}}',
+    "infinity_entry.json": f'{{{_KEYS}, "channel": [[0.9, 0.1], [-Infinity, Infinity]]}}',
+    "ragged.json": f'{{{_KEYS}, "channel": [[0.9, 0.1], [1.0]]}}',
+    "nested_row.json": f'{{{_KEYS}, "channel": [[0.9, 0.1], [[0.2], 0.8]]}}',
+    "bool_entries.json": f'{{{_KEYS}, "channel": [[true, false], [false, true]]}}',
+    "string_entries.json": f'{{{_KEYS}, "channel": [["1", "0"], ["0", "1"]]}}',
+    "null_entry.json": f'{{{_KEYS}, "channel": [[0.9, 0.1], [null, 0.8]]}}',
+    "deep_row.json": f'{{{_KEYS}, "channel": [[0.9, 0.1], {_DEEP}]}}',
+    "deep_spec.json": f'{{"family": "additive_gaussian", "params": {_DEEP}}}',
+}
 #: requests on one input each; 20.978589993105462 is outcome 13's leakage in bits
 SINGLE_REQUESTS = (
+    *(["compute", name] for name in MODEL_TEXTS if name != "deep_spec.json"),
+    ["continuous", "--family", "deep_spec.json", "--outcome", "1"],
+    ["continuous", "--family", "family_additive_gaussian.json", "--outcome", "1", "--check-grid",
+     "--grid", "deep_spec.json"],
     ["compute", *BLANK_LINE_PAIR],
     ["compute", *BLANK_CELLS_PAIR],
     ["compute", "identity4.json", "--outcome", "zz"],
@@ -180,6 +213,8 @@ def write_inputs(change: Path, directory: Path) -> tuple:
         (directory / name).write_text(text, encoding="utf-8")
     for name, doc in MODELS.items():
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+    for name, text in MODEL_TEXTS.items():
+        (directory / name).write_text(text, encoding="utf-8")
     specs = families + [json.dumps(json.loads((directory / name).read_text(encoding="utf-8")))
                         for name in families]
     inputs = [[name] for name in FIXTURES] + [list(CSV_PAIR)]

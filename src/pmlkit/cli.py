@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import re
 import sys
 from itertools import zip_longest
@@ -102,10 +103,10 @@ def cmd_compute(args) -> tuple:
     return EXIT_OK, report
 
 
-def _random_gain(rng, model: JointModel) -> GainFunction:
-    d = int(rng.integers(1, 5))
+def _random_gain(rng: random.Random, model: JointModel) -> GainFunction:
+    d = rng.randint(1, 4)
     labels = [f"w{i}" for i in range(d)]
-    gains = rng.uniform(0.0, 1.0, size=(model.input_alphabet.size, d))
+    gains = [[rng.random() for _ in range(d)] for _ in range(model.input_alphabet.size)]
     return GainFunction(model.input_alphabet, Alphabet(labels), gains)
 
 
@@ -121,8 +122,8 @@ def cmd_verify(args) -> tuple:
     model = load_model(args.channel, args.prior)
     n = model.input_alphabet.size
     k = min(args.max_groups, n)
-    if args.oracle == "strategies":  # only this oracle loads numpy.random
-        rng = np.random.default_rng(args.seed)
+    if args.oracle == "strategies":  # only this oracle draws; --seed seeds its gains
+        rng = random.Random(args.seed)
         gains = [_random_gain(rng, model) for _ in range(args.gains)]
 
     def strategies_hold(y, value) -> bool:

@@ -9,7 +9,11 @@ with ``channel[i][j] = P(Y = alphabet_y[j] | X = alphabet_x[i])``, and
 optional ``truncation_deficit`` (the prior's) and ``row_deficits`` (one
 per channel row, written only when some row of a truncated kernel has one).
 Each number key becomes one float array, in the order ``prior``,
-``truncation_deficit``, ``channel``, ``row_deficits``.
+``truncation_deficit``, ``channel``, ``row_deficits``.  The channel is read
+row by row with json's own scanner: a row that holds only numbers becomes a
+float64 array before the next row is scanned, so no more than one row of
+Python floats is alive, and a load peaks at about twice the file's size.
+Every key and every other value is what ``json.loads`` gives.
 
 The CSV alternative splits the model: the channel file has a header row
 of output symbols followed by one probability row per input symbol, and
@@ -39,12 +43,14 @@ from .distributions import (
 from .errors import ValidationError
 
 PathLike = Union[str, Path]
-#: the JSON type of each type json.load returns
+#: the JSON type of each type json.load returns, and of the model reader's float rows
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "number",
-               float: "number", type(None): "null"}
-#: why float() refused a model key's value; only a channel row can still hold a JSON object
-_REFUSALS = {OverflowError: "holds an integer beyond the float range",
-             TypeError: "entries must be JSON numbers, got a JSON object"}
+               float: "number", type(None): "null", np.ndarray: "array"}
+_scan = json.JSONDecoder().scan_once
+_key = json.decoder.scanstring
+_space = json.decoder.WHITESPACE.match
+#: a channel row whose text holds none of these holds only numbers (-Infinity holds "n")
+_NOT_NUMBERS = ("t", "f", "n", '"', "{", "[")
 
 
 _encode = json.JSONEncoder(allow_nan=False).encode
@@ -127,10 +133,73 @@ def parse_json(text: str, source) -> object:
     except json.JSONDecodeError as exc:
         where = f"line {exc.lineno}, column {exc.colno}"
         raise ValidationError(f"{source}: JSON parse error at {where}: {exc.msg}") from None
+    except RecursionError:
+        raise ValidationError(f"{source}: JSON parse error: nested too deeply") from None
+
+
+def _require(items, want: str, what: str) -> None:
+    """Refuse ``items`` unless each is a JSON ``want``; ``what`` names them in the error."""
+    got = next((_JSON_TYPES[type(v)] for v in items if _JSON_TYPES[type(v)] != want), want)
+    if got != want:
+        raise ValidationError(f"{what} must be JSON {want}s, got a JSON {got}")
+
+
+def _after(text: str, end: int, chars: str) -> tuple:
+    """The first character at or past ``text[end]`` that is not whitespace, which must be one of
+    ``chars``, and the index past it and the whitespace after it."""
+    end = _space(text, end).end()
+    char = text[end]
+    if char not in chars:
+        raise ValueError(f"expected one of {chars!r} at {end}")
+    return char, _space(text, end + 1).end()
+
+
+def _value(text: str, end: int, key: str) -> tuple:
+    """The JSON value at ``text[end]`` and the index past it.  A ``channel`` array is scanned
+    row by row, and each row of plain numbers is a float64 array before the next is scanned."""
+    if key != "channel" or text[end] != "[":
+        return _scan(text, end)
+    rows, (char, end) = [], _after(text, end, "[")
+    while char != "]":
+        start = end
+        row, end = _scan(text, start)
+        if type(row) is list and all(text.find(c, start + 1, end) < 0 for c in _NOT_NUMBERS):
+            try:
+                row = np.array(row, dtype=float)
+            except OverflowError:  # load_model_json names the key of a huge integer
+                pass
+        rows.append(row)
+        char, end = _after(text, end, ",]")
+    return rows, end
+
+
+def _model_document(text: str):
+    """``json.loads(text)`` for a JSON object with a key, its plain channel rows read as float64
+    arrays; None for any other text, which ``parse_json`` then reads or refuses."""
+    doc = {}
+    try:
+        char, end = _after(text, 0, "{")
+        while char != "}":
+            if text[end] != '"':
+                return None
+            key, end = _key(text, end + 1)
+            _, end = _after(text, end, ":")
+            doc[key], end = _value(text, end, key)
+            char, end = _after(text, end, ",}")
+    except (ValueError, IndexError, StopIteration, RecursionError):  # JSONDecodeError included
+        return None
+    return doc if end == len(text) else None
+
+
+def _parse_model(text: str, source) -> object:
+    """``parse_json(text, source)``, with a model object's plain channel rows as float64 arrays."""
+    doc = _model_document(text)
+    return parse_json(text, source) if doc is None else doc
 
 
 def load_model_json(path: PathLike) -> JointModel:
-    doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
+    # the text is released when the parse returns, before the rows are stacked
+    doc = _parse_model(Path(path).read_text(encoding="utf-8"), path)
     if type(doc) is not dict:
         got = _JSON_TYPES[type(doc)]
         raise ValidationError(f"{path}: a model must be a JSON object, got a JSON {got}")
@@ -147,18 +216,21 @@ def load_model_json(path: PathLike) -> JointModel:
     alphabet_x, alphabet_y = (  # _symbol keeps ints and strings as they are
         Alphabet(raw if set(map(type, raw)) <= {int, str} else map(_symbol, raw))
         for raw in (doc["alphabet_x"], doc["alphabet_y"]))
-    # |X| items each, so checking every type is cheap; a channel row's entries are not checked
+    # |X| items each, so checking every type is cheap
     for key, want, noun in (("prior", "number", "entries"), ("channel", "array", "rows"),
                             ("row_deficits", "number", "entries")):
-        items = doc.get(key, [])
-        got = next((_JSON_TYPES[type(v)] for v in items if _JSON_TYPES[type(v)] != want), want)
-        if got != want:
-            raise ValidationError(f"{path}: {key} {noun} must be JSON {want}s, got a JSON {got}")
+        _require(doc.get(key, []), want, f"{path}: {key} {noun}")
     for key in ("prior", "truncation_deficit", "channel", "row_deficits"):  # the docstring's order
+        # only rows the reader did not make arrays can hold a non-number; they are checked
+        # here, so an overflow in prior or truncation_deficit is still named first
+        if key == "channel":
+            entries = (v for row in doc[key] if type(row) is list for v in row)
+            _require(entries, "number", f"{path}: channel entries")
         try:
             doc[key] = np.array(doc[key], dtype=float) if key in doc else None
-        except (OverflowError, TypeError) as exc:
-            raise ValidationError(f"{path}: {key} {_REFUSALS[type(exc)]}") from None
+        except OverflowError:
+            message = f"{path}: {key} holds an integer beyond the float range"
+            raise ValidationError(message) from None
     prior = DiscreteDistribution(alphabet_x, doc["prior"], doc["truncation_deficit"])
     channel = DiscreteChannel(alphabet_x, alphabet_y, doc["channel"], doc["row_deficits"])
     return JointModel(prior, channel)

@@ -1,9 +1,10 @@
 """Import hygiene: the CLI, imported and run in a fresh interpreter, loads no scipy,
-and ``verify`` loads ``numpy.random`` only for the oracle that draws gains.
+and ``verify`` loads no ``numpy.random``, not even for the oracle that draws gains.
 
 scipy takes most of an interpreter's start-up when it is imported, and
 only the library's Poisson truncation helpers need it.  ``numpy.random``
-is a lazy numpy submodule; only ``verify --oracle strategies`` uses it.
+is a lazy numpy submodule; ``verify --oracle strategies`` draws its gains
+with the standard library's ``random`` instead.
 """
 
 import json
@@ -75,4 +76,11 @@ def test_verify_without_gains_loads_no_numpy_random(fixtures_dir, tmp_path):
     model = str(fixtures_dir / "identity4.json")
     requests = [(["verify", model, "--oracle", oracle], 0)
                 for oracle in ("subset", "partition", "functions")]
+    assert _run_fresh(requests, tmp_path)["numpy.random"] == []
+
+
+def test_strategies_request_loads_no_numpy_random(fixtures_dir, tmp_path):
+    # --seed seeds the standard library's random.Random, which statistics already loads
+    model = str(fixtures_dir / "identity4.json")
+    requests = [(["verify", model, "--oracle", "strategies", "--gains", "3", "--seed", "7"], 0)]
     assert _run_fresh(requests, tmp_path)["numpy.random"] == []

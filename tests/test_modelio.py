@@ -255,6 +255,18 @@ def test_row_deficits_length_checked(tmp_path):
         ({"row_deficits": None}, "row_deficits must be a JSON array, got a JSON null"),
         ({"row_deficits": [0, {"a": 0}]},
          "row_deficits entries must be JSON numbers, got a JSON object"),
+        ({"channel": [[True, False], [False, True]]},
+         "channel entries must be JSON numbers, got a JSON boolean"),
+        ({"channel": [["1", "0"], ["0", "1"]]},
+         "channel entries must be JSON numbers, got a JSON string"),
+        ({"channel": [[1.0, 0.0], [None, 1.0]]},
+         "channel entries must be JSON numbers, got a JSON null"),
+        ({"channel": [[1.0, 0.0], [[0.0], 1.0]]},
+         "channel entries must be JSON numbers, got a JSON array"),
+        ({"channel": [[1.0, True], [0.0, 1.0]], "row_deficits": [0, "0"]},
+         "row_deficits entries must be JSON numbers, got a JSON string"),
+        ({"prior": [10**400, 0], "channel": [[None, 0.0], [0.0, 1.0]]},
+         "prior holds an integer beyond the float range"),
     ],
     ids=["top_number", "top_null", "alphabet_number", "alphabet_string", "alphabet_object",
          "deficit_null", "deficit_array", "deficit_string", "deficit_bool",
@@ -264,7 +276,9 @@ def test_row_deficits_length_checked(tmp_path):
          "row_deficits_bool_string", "prior_object", "prior_null", "prior_number",
          "prior_object_entry", "prior_null_entry", "channel_object", "channel_null",
          "channel_object_row", "channel_number_row", "channel_object_entry",
-         "row_deficits_object", "row_deficits_null", "row_deficits_object_entry"],
+         "row_deficits_object", "row_deficits_null", "row_deficits_object_entry",
+         "channel_bools", "channel_strings", "channel_null_entry", "channel_array_entry",
+         "row_deficits_before_channel_entries", "prior_before_channel_entries"],
 )
 def test_model_shapes_rejected_by_name(tmp_path, capsys, doc, reason):
     # Each of these used to end in a TypeError or OverflowError traceback, be
@@ -399,6 +413,23 @@ def test_callers_arrays_are_copied():
     assert channel.row_deficits.tolist() == [0.0, 0.0]
     for array in (dist.probs, channel.matrix, channel.row_deficits):
         assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "{deep}"],
+    ["continuous", "--family", "{deep}", "--outcome", "1"],
+    ["continuous", "--family", str(FIXTURES / "family_additive_gaussian.json"), "--outcome", "1",
+     "--check-grid", "--grid", "{deep}"],
+], ids=["model", "family_spec", "grid_spec"])
+def test_deep_nesting_exits_one_with_one_line(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text('{"channel": [' + "[" * 100_000 + "]" * 100_001 + "}")
+    argv = [str(path) if arg == "{deep}" else arg for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"pmlkit: validation error: {path}: JSON parse error: nested too deeply\n")
 
 
 def test_ragged_channel_message_is_numpys(tmp_path, capsys):
