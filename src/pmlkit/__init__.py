@@ -20,6 +20,7 @@ from .leakage import (
     LeakageProfile,
     LeakageValue,
     absolute_continuity_witness,
+    leakage_law,
     leakage_profile,
     maximal_leakage,
     mean_leakage,

@@ -30,8 +30,6 @@ import sys
 from itertools import zip_longest
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .continuous import ClosedFormModel, GridSpec, pml_closed_form, pml_density, to_density_model
 from .distributions import Alphabet, JointModel
@@ -39,11 +37,11 @@ from .errors import CapabilityError, CapacityError, PmlError, ValidationError
 from .leakage import (
     UNITS,
     LeakageProfile,
+    leakage_law,
     leakage_profile,
     maximal_leakage,
     mean_leakage,
     pml,
-    tail_probability,
 )
 from .modelio import _csv, _json, _symbol_from_text, load_model, parse_json
 from .oracles import (
@@ -215,30 +213,12 @@ def cmd_continuous(args) -> tuple:
     return EXIT_OK, report
 
 
-def _cdf(profile: LeakageProfile, units: str):
-    """Distinct leakage values (ascending, in ``units``) and P_Y(leakage <= value).
-
-    The values are those of ``profile.in_units``, so they print as in
-    ``compute``.  One stable sort, then each value's probability is one
-    minus the mass of the strictly larger values, summed from the top.
-    """
-    values = profile.in_units(units)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    mass = np.add.reduceat(profile.weights.probs[order], starts)
-    above = np.zeros_like(mass)
-    above[:-1] = np.cumsum(mass[:0:-1])[::-1]
-    return values[starts], 1.0 - above
-
-
 def cmd_tail(args) -> tuple:
     model = load_model(args.channel, args.prior)
-    profile = leakage_profile(model)
-    tails = [tail_probability(profile, eps, args.units) for eps in args.eps]
+    tails, values, cdf = leakage_law(leakage_profile(model), args.eps, args.units)
+    tails = tails.tolist()
     if args.format == "csv":
         return EXIT_OK, _csv(("eps", "tail_probability"), (args.eps, tails))
-    values, cdf = _cdf(profile, args.units)
     return EXIT_OK, {
         "truncation_deficit": model.prior.truncation_deficit,
         "rows": [{"eps": eps, "tail_probability": p} for eps, p in zip(args.eps, tails)],

@@ -207,13 +207,30 @@ def mean_leakage(profile: LeakageProfile) -> LeakageValue:
     return LeakageValue(float(np.dot(weights[mask], nats[mask])))
 
 
+def leakage_law(profile: LeakageProfile, eps_values, units: str = "nats") -> tuple:
+    """P_Y(leakage > eps) for each of ``eps_values``, the distinct leakages in ``units``
+    (ascending, as ``profile.in_units`` gives and a report prints them) and P_Y(leakage <=
+    value) at each, from one sorted sum: ``above[k]`` is the mass at or above the k-th value,
+    summed from the top, so a tail (one entry) and the CDF (one minus the next) sum to exactly 1.
+    A tail over m outcomes lies within gamma_{m-1} = (m-1)u / (1 - (m-1)u), u = 2^-53, of the
+    exact sum of their P_Y floats, relative; a CDF entry lies within that plus u."""
+    bad = [eps for eps in eps_values if not eps >= 0]
+    if bad:
+        raise ValidationError(f"eps must be >= 0, got {bad[0]!r}")
+    values = profile.in_units(units)
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    values = values[starts]
+    mass = np.add.reduceat(profile.weights.probs[order], starts)
+    above = np.append(np.cumsum(mass[::-1])[::-1], 0.0)
+    tails = above[np.searchsorted(values, eps_values, side="right")]
+    return tails, values, 1.0 - above[1:]
+
+
 def tail_probability(profile: LeakageProfile, eps: float, units: str = "nats") -> float:
-    """P_Y over the outcomes whose leakage in ``units``, as ``profile.in_units`` gives it and
-    a report prints it, strictly exceeds eps."""
-    if not eps >= 0:
-        raise ValidationError(f"eps must be >= 0, got {eps!r}")
-    mask = profile.in_units(units) > eps
-    return float(profile.weights.probs[mask].sum())
+    """P_Y(leakage > eps), leakages in ``units``: ``leakage_law`` at one eps."""
+    return float(leakage_law(profile, (eps,), units)[0][0])
 
 
 def absolute_continuity_witness(

@@ -102,8 +102,8 @@ def gain_ratio(model: JointModel, y: Symbol, g: GainFunction) -> float:
 
 
 def _set_ratios(post_sums: np.ndarray, prior_sums: np.ndarray) -> np.ndarray:
-    """post/prior over paired event masses, with 0/0 = 1 and x/0 = inf."""
-    out = np.where(post_sums > 0, np.inf, 1.0)
+    """post/prior over paired event masses, with 0/0 = 1 (Bayes' rule leaves no x/0)."""
+    out = np.ones_like(post_sums)
     return np.divide(post_sums, prior_sums, out=out, where=prior_sums > 0)
 
 

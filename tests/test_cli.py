@@ -19,7 +19,7 @@ from pmlkit import cli
 from pmlkit.cli import main
 from pmlkit.continuous import MAX_QUANTILE_CLIP
 from pmlkit.modelio import load_model, save_model_json
-from conftest import make_fixtures, random_full_support_model
+from conftest import make_fixtures, random_full_support_model, random_model_with_zeros
 
 
 def run(capsys, *argv):
@@ -667,6 +667,29 @@ def test_tail_cdf_matches_tail_probability_with_ties(capsys, tmp_path):
     expected = [1.0 - tail_probability(profile, v) for v in values]
     np.testing.assert_allclose(doc["cdf"]["probability"], expected, rtol=0, atol=1e-12)
     assert doc["cdf"]["probability"][-1] == 1.0
+
+
+@pytest.mark.parametrize("seed,n_in,n_out,units", [(23, 3, 40, "nats"), (24, 7, 300, "bits"),
+                                                     (25, 12, 120, "nats"), (26, 5, 80, "bits")])
+def test_tail_rows_and_cdf_are_one_law(capsys, tmp_path, seed, n_in, n_out, units):
+    # JSON rows, CSV rows and tail_probability agree bit for bit, and at each
+    # printed leakage value v the row P(L > v) and the CDF entry P(L <= v) add up to 1
+    model = random_model_with_zeros(np.random.default_rng(seed), n_in, n_out)
+    path = tmp_path / "law.json"
+    save_model_json(model, path)
+    profile = leakage_profile(model)
+    values = sorted(set(profile.in_units(units).tolist()))
+    eps = [0.0, *values, math.inf]
+    argv = ["tail", str(path), "--units", units, *(a for e in eps for a in ("--eps", repr(e)))]
+    doc = run_json(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    csv_rows = [float(row["tail_probability"]) for row in csv.DictReader(io.StringIO(out))]
+    json_rows = [row["tail_probability"] for row in doc["rows"]]
+    assert json_rows == csv_rows == [tail_probability(profile, e, units) for e in eps]
+    assert doc["cdf"]["leakage"] == values
+    assert [row + p for row, p in zip(json_rows[1:-1], doc["cdf"]["probability"])] == \
+        [1.0] * len(values)
 
 
 def test_tail_bits_cdf_prints_the_compute_bits_values(capsys, random_model_file):

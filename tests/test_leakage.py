@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pmlkit import (
     constant_channel,
     geometric_binary_model,
     identity_channel,
+    leakage_law,
     leakage_profile,
     maximal_leakage,
     mean_leakage,
@@ -26,7 +28,7 @@ from pmlkit import (
     uniform,
 )
 from pmlkit.errors import AlphabetMismatchError, ValidationError
-from pmlkit.leakage import _logsumexp
+from pmlkit.leakage import UNITS, _logsumexp
 from pmlkit.modelio import load_model
 from conftest import random_full_support_model, random_model_with_zeros as _model_with_zeros
 
@@ -177,6 +179,82 @@ def test_tail_is_monotone_step_function():
     for lo, hi in zip(values, values[1:]):
         mid1, mid2 = lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)
         assert tail_probability(profile, mid1) == tail_probability(profile, mid2)
+
+
+def _masked_tail(profile, eps, units):
+    """The reference tail: P_Y summed over the outcomes whose leakage in ``units``
+    exceeds eps, in index order."""
+    return profile.weights.probs[profile.in_units(units) > eps].sum()
+
+
+def _law_model(rng):
+    """A seeded model whose outcomes repeat a few distinct channel columns, so
+    leakage values tie; some columns are zero, so those outcomes have P_Y = 0;
+    and column 0 holds only subnormal entries."""
+    n, k, m = int(rng.integers(2, 9)), int(rng.integers(1, 13)), int(rng.integers(3, 80))
+    matrix = rng.dirichlet(np.ones(k), size=n)[:, rng.integers(0, k, size=m)]
+    matrix[:, 2:][:, rng.random(m - 2) < 0.15] = 0.0
+    if rng.random() < 0.5:
+        column = 5e-324 * rng.integers(0, 40, n)
+    else:
+        column = np.ldexp(rng.random(n), -int(rng.integers(1022, 1080)))
+    # one factor per row, so repeated columns stay equal
+    matrix[:, 1:] *= (1.0 - column)[:, None] / matrix[:, 1:].sum(axis=1, keepdims=True)
+    matrix[:, 0] = column
+    a, b = Alphabet(list(range(n))), Alphabet(list(range(m)))
+    return JointModel(DiscreteDistribution(a, rng.dirichlet(np.ones(n))),
+                      DiscreteChannel(a, b, matrix))
+
+
+def test_leakage_law_is_within_the_summation_bound_of_the_exact_sums():
+    """Each tail and CDF entry against the exact sum of the P_Y floats it adds.
+
+    For an eps, the m outcomes whose leakage (as ``in_units`` gives it) exceeds
+    eps have P_Y floats p_1..p_m >= 0 with exact sum S, taken in Fractions.
+    Any order of m - 1 floating additions computes S(1 + theta_i) per term with
+    |theta_i| <= gamma_{m-1}, gamma_k = k u / (1 - k u), u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 4.2); the
+    terms are non-negative, so the error is at most gamma_{m-1} S.  Additions
+    whose result is subnormal are exact, so a subnormal column needs no other
+    term.  The law's tail is such a sum (each tie group added, then the groups
+    from the top), and so is the masked reference.  The CDF entry at a value
+    v is fl(1 - tail(v)) with tail(v) in [0, 2], one more rounding of at most
+    u |1 - tail(v)| <= u, so it lies within gamma_{m-1} S + u of 1 - S.
+    The eps values are each printed value and one ulp on either side, where
+    the tail jumps.
+    """
+    u = Fraction(1, 2**53)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    rng = np.random.default_rng(2207)
+    rows = ties = 0
+    for _ in range(200):
+        profile = leakage_profile(_law_model(rng))
+        p_y = [Fraction(p) for p in profile.weights.probs.tolist()]
+        for units in UNITS:
+            leakage = profile.in_units(units).tolist()
+            printed = sorted(set(leakage))
+            live = [v for v, p in zip(leakage, p_y) if p]
+            ties += len(set(live)) < len(live)
+            eps = sorted({e for v in printed for e in (np.nextafter(v, -1.0), v,
+                                                         np.nextafter(v, math.inf))
+                          if e >= 0})
+            tails, values, cdf = leakage_law(profile, eps, units)
+            assert values.tolist() == printed
+            assert tails.tolist() == [tail_probability(profile, e, units) for e in eps]
+            for e, tail in zip(eps, tails.tolist()):
+                above = [p for p, v in zip(p_y, leakage) if v > e]
+                exact, bound = sum(above, Fraction(0)), gamma(max(len(above) - 1, 0))
+                assert abs(Fraction(tail) - exact) <= bound * exact
+                assert abs(Fraction(_masked_tail(profile, e, units)) - exact) <= bound * exact
+                if e in printed:
+                    entry = float(cdf[printed.index(e)])
+                    assert abs(Fraction(entry) - (1 - exact)) <= bound * exact + u
+                    assert tail + entry == 1.0
+                rows += 1
+    assert rows > 5000 and ties > 200  # 9,320 and 386 of 400
 
 
 def test_data_processing_inequality():
