@@ -26,9 +26,9 @@ past the accepted maximum, a CSV pair labelled ``1.0`` and ``2`` asked for
 outcome ``1``, inline family and grid specs that are not JSON, a negative
 partition ``--eps`` in bits, a strategies ``--resolution`` of 0, a
 geometric-binary family asked for outcome 2, two requests that must be
-refused: a JSON model given with a prior file, and ``--format csv`` with
-``--outcome``, and a CSV profile whose outcome label holds a comma.  It
-also adds ``MODEL_TEXTS``, model files at the edges of the channel reader
+refused (a JSON model given with a prior file, and ``--format csv`` with
+``--outcome``), a CSV profile whose outcome label holds a comma, and a CSV
+pair split by an option, which must read as the unsplit pair.  It also adds ``MODEL_TEXTS``, model files at the edges of the channel reader
 (``channel`` first or twice, line breaks in and between rows, an empty
 channel, a BOM, trailing data, a trailing comma, NaN and infinite entries,
 ragged and nested rows, boolean, string and null entries, and a row nested
@@ -36,8 +36,10 @@ ragged and nested rows, boolean, string and null entries, and a row nested
 grid.
 ``continuous`` runs each family, given as a fixture file and inline, with
 the options below: negative and exponent outcomes, ``=`` forms,
-abbreviations, grid checks with inline and file grids, and a grid file
-without ``--check-grid``.  Last come argv on which argparse exits: help,
+abbreviations, grid checks with inline and file grids (among them the
+benchmark's two grid shapes and the largest and a 1e-300 quantile clip),
+and a grid file without ``--check-grid``; ``SINGLE_REQUESTS`` adds grid
+checks of the bivariate family at rho = 0.99 and -0.99.  Last come argv on which argparse exits: help,
 ``--version`` and usage errors, whose exit code 2 and stderr are compared.
 
 Exits 0 when every request matches and 1 otherwise.
@@ -103,6 +105,10 @@ MODEL_TEXTS = {
     "deep_row.json": f'{{{_KEYS}, "channel": [[0.9, 0.1], {_DEEP}]}}',
     "deep_spec.json": f'{{"family": "additive_gaussian", "params": {_DEEP}}}',
 }
+#: the grids of the benchmark's ``verify_mix`` grid checks
+BENCH_GRIDS = ({"points": 4096, "refine": 8}, {"points": 16384, "refine": 16})
+#: the largest quantile clip, ``continuous.MAX_QUANTILE_CLIP``, and a far smaller one
+CLIP_GRIDS = ({"quantile_clip": 4.9e-07}, {"quantile_clip": 1e-300})
 #: requests on one input each; 20.978589993105462 is outcome 13's leakage in bits
 SINGLE_REQUESTS = (
     *(["compute", name] for name in MODEL_TEXTS if name != "deep_spec.json"),
@@ -124,6 +130,10 @@ SINGLE_REQUESTS = (
     ["compute", "identity4.json", "identity4_prior.csv"],
     ["compute", "identity4.json", "--outcome", "a", "--format", "csv"],
     ["compute", "comma_label.json", "--format", "csv"],
+    ["compute", "identity4_channel.csv", "--units", "bits", "identity4_prior.csv"],
+    *(["continuous", "--family", json.dumps({"family": "bivariate_gaussian", "params": {
+        "sigma_x": 1.0, "sigma_y": 2.0, "rho": rho}}), "--outcome", "1.5", "--check-grid",
+       "--grid", json.dumps(grid)] for rho in (0.99, -0.99) for grid in BENCH_GRIDS),
 )
 #: (inputs, outputs) of the seeded full-support models
 SHAPES = ((10, 8), (12, 6), (16, 7), (20, 8))
@@ -171,6 +181,8 @@ CONTINUOUS_OPTIONS = (
     ["--check-grid", "--outcome", "-1.5", "--grid", '{"points": 4096, "refine": 4}'],
     ["--outcome", "0.5", "--grid", "grid.json", "--check-grid"],
     ["--outcome", "1", "--grid", "grid.json"],
+    *(["--outcome", y, "--check-grid", "--grid", json.dumps(grid)]
+      for y, grid in zip(("1.5", "-0.3", "2", "-2"), (*BENCH_GRIDS, *CLIP_GRIDS))),
 )
 GRID = {"points": 2048, "refine": 8, "quantile_clip": 1e-10}
 #: argv on which argparse exits: help, version and usage errors
@@ -182,7 +194,6 @@ ARGPARSE_EXITS = (
     ["compute", "identity4.json", "--units", "furlongs"],
     ["compute", "identity4.json", "--outcome"], ["compute", "identity4.json", "--version"],
     ["compute", "--", "identity4_channel.csv", "identity4_prior.csv", "extra"],
-    ["compute", "identity4_channel.csv", "--units", "bits", "identity4_prior.csv"],
     ["verify", "identity4.json"], ["verify", "identity4.json", "--oracle", "nope"],
     ["verify", "identity4.json", "--oracle", "functions", "--max-groups", "x"],
     ["verify", "identity4.json", "--oracle", "partition", "--eps", "-1e3"],

@@ -196,7 +196,8 @@ def cmd_continuous(args) -> tuple:
     }
     if not args.check_grid:
         return EXIT_OK, report
-    spec = _load_spec(args.grid, "grid spec", GridSpec().to_dict()) if args.grid else {}
+    keys = ("points", "quantile_clip", "refine")
+    spec = _load_spec(args.grid, "grid spec", keys) if args.grid else {}
     grid = GridSpec(**spec)
     report["grid"] = grid.to_dict()
     try:
@@ -278,13 +279,33 @@ COMMANDS = {
 }
 
 
+class _Commands(argparse._SubParsersAction):
+    """The subcommands.  Where options split a command's positionals
+    (``compute CHANNEL --units bits PRIOR``), argparse reads only the first
+    run of them and leaves the rest unread; such an argv is read again by
+    the command's own ``parse_known_intermixed_args`` (the top-level
+    parser's refuses a parser with subcommands), and its reading is kept
+    when it leaves nothing unread.  Every other argv reads as before, ``--``
+    among them: intermixed parsing reads the tokens after it as options."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        super().__call__(parser, namespace, values, option_string)
+        unread = getattr(namespace, argparse._UNRECOGNIZED_ARGS_ATTR, ())
+        if unread and "--" not in values and not any(token.startswith("-") for token in unread):
+            command = self._name_parser_map[values[0]]
+            parsed, unread = command.parse_known_intermixed_args(values[1:])
+            if not unread:
+                vars(namespace).update(vars(parsed))
+                delattr(namespace, argparse._UNRECOGNIZED_ARGS_ATTR)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmlkit",
         description="Per-outcome information leakage for discrete channels and density models.",
     )
     parser.add_argument("--version", action="version", version=f"pmlkit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Commands)
     for name, (help_text, func, arguments) in COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for flag, keywords in arguments:
@@ -309,10 +330,11 @@ def _read(argv) -> Optional[argparse.Namespace]:
     It reads an argv that starts with a command name and holds only that
     command's option strings, spelled out, each value-taking one followed
     by one value (which starts with "-" only as a negative number), and
-    one run of positionals within the command's count; every required
-    option must be given, and every value must convert and be among its
-    choices.  On such an argv argparse builds the same namespace.  On any
-    other (help, ``--version``, ``--opt=value``, abbreviations, ``--``,
+    positionals within the command's count, wherever they stand among the
+    options; every required option must be given, and every value must
+    convert and be among its choices.  On such an argv argparse builds the
+    same namespace (``_Commands`` reads positionals split by options).  On
+    any other (help, ``--version``, ``--opt=value``, abbreviations, ``--``,
     unknown tokens, usage errors) it returns None, and argparse decides.
     """
     if not argv or argv[0] not in COMMANDS:
@@ -325,16 +347,15 @@ def _read(argv) -> Optional[argparse.Namespace]:
         else:
             names.append(flag)
             least += "nargs" not in keywords
-    positionals, values, run_ended = [], {}, False
+    positionals, values = [], {}
     tokens = iter(argv[1:])
     for token in tokens:
         option = options.get(token)
         if option is None:
-            if token.startswith("-") or run_ended:
+            if token.startswith("-"):
                 return None
             positionals.append(token)
             continue
-        run_ended = bool(positionals)
         if option.get("action") == "store_true":
             values[option["dest"]] = True
             continue

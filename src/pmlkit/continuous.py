@@ -48,9 +48,50 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _norm_pdf(x, loc=0.0, scale=1.0) -> np.ndarray:
     """Normal density by the operations of ``scipy.stats.norm.pdf``, which it
-    therefore equals bit for bit."""
-    z = (np.asarray(x, dtype=float) - loc) / scale
-    return np.exp(-z**2 / 2.0) / _SQRT_2PI / scale
+    therefore equals bit for bit.
+
+    The first operation allocates the one temporary and the rest write
+    into it; where x and loc are both scalars, each ``op=`` rebinds a numpy
+    scalar instead.  ``**=`` squares an array and calls ``pow`` on a
+    scalar, as ``**`` does, and dividing by -2.0 rounds the same real
+    number as negating and then dividing by 2.0.
+    """
+    z = np.asarray(x, dtype=float) - loc
+    z /= scale
+    z **= 2
+    z /= -2.0
+    z = np.exp(z, out=z) if isinstance(z, np.ndarray) else np.exp(z)
+    z /= _SQRT_2PI
+    z /= scale
+    return z
+
+
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)`` for n >= 2 by linspace's own operations,
+    and so bit for bit, without its Python-level argument handling."""
+    lo, hi = float(lo), float(hi)
+    width = hi - lo
+    step = width / (n - 1)
+    xs = np.arange(n, dtype=float)
+    if step == 0.0:  # the step underflows: linspace scales by the width last
+        xs /= n - 1
+        xs *= width
+    else:
+        xs *= step
+    xs += lo
+    xs[-1] = hi
+    return xs
+
+
+def _trapezoid(ys, xs: np.ndarray) -> float:
+    """``np.trapezoid(ys, xs)`` of 1-D arrays by its own operations, and so
+    bit for bit.  It writes only into the spacings it allocates, never into
+    ``ys``, which a density may share with its caller."""
+    ys = np.asarray(ys)
+    terms = xs[1:] - xs[:-1]
+    terms *= ys[1:] + ys[:-1]
+    terms /= 2.0
+    return float(terms.sum())
 
 
 def _norm_isf(q: float) -> float:
@@ -89,7 +130,8 @@ class GridSpec:
             raise ValidationError(f"refine factor must be an integer >= 1, got {self.refine!r}")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {"points": self.points, "quantile_clip": self.quantile_clip,
+                "refine": self.refine}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,8 +152,8 @@ class DensityModel:
         lo, hi = self.x_domain
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValidationError(f"x_domain must be a finite interval, got {self.x_domain!r}")
-        xs = np.linspace(lo, hi, 1 << 14)
-        mass = float(np.trapezoid(self.prior_density(xs), xs))
+        xs = _grid(lo, hi, 1 << 14)
+        mass = _trapezoid(self.prior_density(xs), xs)
         if not (1.0 - DENSITY_CLIP_DEFICIT <= mass <= 1.0 + 1e-9):
             raise ValidationError(
                 f"prior density integrates to {mass!r} over the domain; "
@@ -121,7 +163,7 @@ class DensityModel:
     def marginal_at(self, y: float, xs: np.ndarray) -> float:
         if self.marginal_density is not None:
             return float(self.marginal_density(y))
-        return float(np.trapezoid(self.conditional_density(y, xs) * self.prior_density(xs), xs))
+        return _trapezoid(self.conditional_density(y, xs) * self.prior_density(xs), xs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,6 +175,16 @@ class DensityLeakageResult:
     argmax_x: float
 
 
+def _largest(ratios: np.ndarray) -> Tuple[int, float]:
+    """The first index of the largest ratio, and that ratio; a ratio that
+    is not finite and non-negative is refused."""
+    i = int(ratios.argmax())  # a NaN's index if there is one, so best is NaN
+    best = float(ratios[i])
+    if not (best < math.inf and np.minimum.reduce(ratios) >= 0.0):
+        raise ValidationError("conditional density produced non-finite or negative values")
+    return i, best
+
+
 def pml_density(
     model: DensityModel, y: float, grid: GridSpec = GridSpec()
 ) -> DensityLeakageResult:
@@ -142,26 +194,20 @@ def pml_density(
     ``grid.refine`` times finer.  Ties break toward the lowest x.
     """
     lo, hi = model.x_domain
-    xs = np.linspace(lo, hi, grid.points)
+    xs = _grid(lo, hi, grid.points)
     f_y = model.marginal_at(y, xs)
     if not math.isfinite(f_y):
         raise ValidationError(f"marginal density at y={y!r} is not finite")
     if f_y <= 0.0:
         raise UndefinedOutcomeError(f"outcome y={y!r} has zero marginal density")
-    ratios = model.conditional_density(y, xs) / f_y
-    if not np.all(np.isfinite(ratios)) or np.any(ratios < 0):
-        raise ValidationError("conditional density produced non-finite or negative values")
-    i = int(np.argmax(ratios))
-    best = float(ratios[i])
+    i, best = _largest(model.conditional_density(y, xs) / f_y)
     best_x = float(xs[i])
     fine_lo = xs[max(i - 1, 0)]
     fine_hi = xs[min(i + 1, grid.points - 1)]
-    fine = np.linspace(fine_lo, fine_hi, 2 * grid.refine + 1)
-    fine_ratios = model.conditional_density(y, fine) / f_y
-    j = int(np.argmax(fine_ratios))
-    if float(fine_ratios[j]) > best:
-        best = float(fine_ratios[j])
-        best_x = float(fine[j])
+    fine = _grid(fine_lo, fine_hi, 2 * grid.refine + 1)
+    j, fine_best = _largest(model.conditional_density(y, fine) / f_y)
+    if fine_best > best:
+        best, best_x = fine_best, float(fine[j])
     if best == 0.0:
         raise ValidationError(
             f"conditional density at outcome y={y!r} is 0 at every grid point (points="

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Sequence, Union
 
 import numpy as np
@@ -229,7 +230,7 @@ def marginal(
     if prior.alphabet.symbols != channel.input_alphabet.symbols:
         raise AlphabetMismatchError("prior alphabet does not match channel input alphabet")
     probs = prior.probs @ channel.matrix
-    small = np.flatnonzero(probs < np.finfo(float).tiny * prior.alphabet.size)
+    small = np.flatnonzero(probs < sys.float_info.min * prior.alphabet.size)
     probs[small] = (prior.probs[:, None] * channel.matrix[:, small]).sum(axis=0)
     deficit = max(0.0, 1.0 - float(probs.sum()))
     if deficit > MAX_DEFICIT:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -95,6 +96,22 @@ def test_compute_matches_golden(capsys, fixtures_dir):
 
 @pytest.mark.parametrize("name", sorted(make_fixtures.GOLDENS))
 def test_report_matches_golden(fixtures_dir, tmp_path, name):
+    out = tmp_path / name
+    assert main(make_fixtures.golden_argv(name) + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (fixtures_dir / "golden" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["continuous_additive_gaussian.json",
+                                  "continuous_bivariate_gaussian.json", "compute_identity4.json"])
+def test_requests_call_no_python_level_numpy_helpers(monkeypatch, fixtures_dir, tmp_path, name):
+    # each is a Python function whose first call a fresh process pays for;
+    # the grid check and the model load use plain ufuncs and sys instead
+    def refuse(*args, **kwargs):
+        raise AssertionError("called while serving a request")
+
+    for module, helper in ((np, "linspace"), (np, "trapezoid"), (np, "diff"), (np, "finfo"),
+                           (dataclasses, "asdict")):
+        monkeypatch.setattr(module, helper, refuse)
     out = tmp_path / name
     assert main(make_fixtures.golden_argv(name) + ["--output", str(out)]) == 0
     assert out.read_bytes() == (fixtures_dir / "golden" / name).read_bytes()

@@ -133,6 +133,23 @@ def test_every_golden_argv_is_read_from_the_table(argv):
     assert cli._read(argv) is not None
 
 
+def test_options_may_split_the_positionals(capsys):
+    channel, prior = (str(FIXTURES / name) for name in ("identity4_channel.csv",
+                                                        "identity4_prior.csv"))
+    assert main(["compute", channel, prior, "--units", "bits"]) == 0
+    unsplit = capsys.readouterr()
+    split = ["compute", channel, "--units", "bits", prior]
+    assert _fields(cli._read(split)) == _fields(build_parser().parse_args(split))
+    for argv in (split, ["compute", channel, "--un", "bits", prior]):  # the second: argparse
+        assert main(argv) == 0
+        assert capsys.readouterr() == unsplit
+    # after "--" every token is a positional, which intermixed parsing would not keep
+    assert build_parser().parse_args(["compute", "--", "-x.json"]).channel == "-x.json"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["compute", "--", "--out", "p.csv", "extra"])
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: extra\n")
+
+
 def test_top_level_help_builds_the_full_parser(capsys, parsers_built):
     with pytest.raises(SystemExit):
         main(["-h"])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pmlkit import (
     to_density_model,
     uniform,
 )
-from pmlkit.continuous import MAX_QUANTILE_CLIP, _norm_isf, _norm_pdf
+from pmlkit.continuous import MAX_QUANTILE_CLIP, _grid, _norm_isf, _norm_pdf, _trapezoid
 from pmlkit.errors import (
     CapabilityError,
     ParameterError,
@@ -222,6 +223,21 @@ def test_density_zero_marginal_rejected():
     )
     with pytest.raises(UndefinedOutcomeError):
         pml_density(model, 5.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, -2.0])
+@pytest.mark.parametrize("size,at", [(1024, 0), (1024, 700), (1024, 1023), (9, 0), (9, 3)])
+def test_density_with_a_non_finite_or_negative_ratio_rejected(bad, size, at):
+    # on the grid of 1024 points, or on the refining grid of 2 * 4 + 1
+    def conditional(y, x):
+        values = np.linspace(1.0, 2.0, len(x))  # the largest ratio is the last
+        if len(x) == size:
+            values[at] = bad
+        return values
+
+    model = DensityModel((0.0, 1.0), np.ones_like, conditional, lambda y: 1.0)
+    with pytest.raises(ValidationError, match="non-finite or negative values"):
+        pml_density(model, 0.0, GridSpec(points=1024, refine=4))
 
 
 def test_density_peak_between_grid_points_rejected():
@@ -452,3 +468,151 @@ def test_capability_error_text(family, params, grid_message, probe_message):
     with pytest.raises(CapabilityError) as info:
         integrability_probe(model, [10, 20, 30])
     assert str(info.value) == probe_message
+
+
+def test_grid_is_linspace_bit_for_bit():
+    rng = np.random.default_rng(23)
+    cases = [
+        (0.0, 5e-324, 2),  # one subnormal wide: the step 5e-324 is exact
+        (0.0, 3 * 5e-324, 1 << 10),  # the step underflows to 0
+        (-5e-324, 5e-324, 1 << 14),
+        (-1.5e308, 1.5e308, 1 << 10),  # the width overflows to inf
+        (-math.ulp(0.0), 1.7976931348623157e308, 33),  # the width rounds to the largest float
+    ]
+    for _ in range(500):
+        n = int(rng.choice([2, 3, 33, 1 << 10, 4096, 1 << 14, int(rng.integers(2, 5000))]))
+        scale = 10.0 ** float(rng.uniform(-300, 300))
+        lo, hi = sorted(rng.normal(0.0, 1.0, 2) * scale)
+        cases.append((float(lo), float(hi), n))
+        mid = float(rng.normal(0.0, scale))  # a width of a few ulps
+        cases.append((mid, float(np.nextafter(np.nextafter(mid, np.inf), np.inf)), n))
+    assert (3 * 5e-324) / ((1 << 10) - 1) == 0.0 and 1.5e308 - -1.5e308 == math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at the first point
+        for lo, hi, n in cases:
+            assert lo < hi
+            assert _grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
+
+
+def test_trapezoid_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        model = ClosedFormModel("bivariate_gaussian", {
+            "sigma_x": float(rng.uniform(0.05, 5.0)), "sigma_y": float(rng.uniform(0.05, 5.0)),
+            "rho": float(rng.uniform(-0.99, 0.99))})
+        density = to_density_model(model, float(rng.choice([1e-9, 1e-300, MAX_QUANTILE_CLIP])))
+        y = float(rng.normal(0.0, 2.0))
+        for n in (1 << 10, 4096, 1 << 14):
+            xs = _grid(*density.x_domain, n)
+            prior = density.prior_density(xs)
+            # the prior's mass check, and marginal_at's numeric path
+            assert _trapezoid(prior, xs) == float(np.trapezoid(prior, xs))
+            joint = density.conditional_density(y, xs) * prior
+            numeric = DensityModel(density.x_domain, density.prior_density,
+                                   density.conditional_density)
+            assert numeric.marginal_at(y, xs) == float(np.trapezoid(joint, xs))
+    xs = np.sort(rng.normal(0.0, 3.0, 999))
+    ys = rng.exponential(1.0, 999)
+    assert _trapezoid(ys, xs) == float(np.trapezoid(ys, xs))
+
+
+def test_float_info_min_is_finfo_tiny():
+    # distributions.marginal reads the smallest normal float from sys
+    assert sys.float_info.min.hex() == float(np.finfo(float).tiny).hex()
+
+
+def test_density_model_never_writes_into_callable_output():
+    shared = {}  # the prior's arrays, one per grid length, handed out on every call
+    handed_out = []
+
+    def record(array):
+        handed_out.append((array, array.copy()))
+        return array
+
+    # prior 1 on [1, 2] and f(y | x) = x there, so f_Y(y) = 1.5 and pml = log(2 / 1.5)
+    model = DensityModel(
+        x_domain=(1.0, 2.0),
+        prior_density=lambda x: record(shared.setdefault(len(x), np.ones(len(x)))),
+        conditional_density=lambda y, x: record(x),
+    )
+    xs = _grid(1.0, 2.0, 4096)
+    assert model.marginal_at(0.0, xs) == pytest.approx(1.5)
+    result = pml_density(model, 0.0, GridSpec(points=4096, refine=4))
+    assert result.value.nats == pytest.approx(math.log(2.0 / 1.5))
+    assert len(handed_out) == 7
+    for array, before in handed_out:
+        assert array.tobytes() == before.tobytes()
+    for n, array in shared.items():
+        assert array.tobytes() == np.ones(n).tobytes()
+
+
+def _shape(family, p):
+    """(sx, slope, cond) of the model X ~ N(0, sx^2), Y | X ~ N(slope x, cond^2)."""
+    if family == "additive_gaussian":
+        return p["sigma_x"], 1.0, p["sigma_n"]
+    return (p["sigma_x"], p["rho"] * p["sigma_y"] / p["sigma_x"],
+            p["sigma_y"] * math.sqrt(1.0 - p["rho"] ** 2))
+
+
+def _normal_mass(a, b, mean, sd):
+    """P(a <= Z <= b) for Z ~ N(mean, sd^2), from the tail on the interval's
+    side of the mean, since cdf(b) - cdf(a) cancels to noise in the tails."""
+    def above(t):  # P(Z > mean + t sd)
+        return 0.5 * math.erfc(t / math.sqrt(2.0))
+
+    s, t = (a - mean) / sd, (b - mean) / sd
+    if s >= 0.0:
+        return above(s) - above(t)
+    if t <= 0.0:
+        return above(-t) - above(-s)
+    return 1.0 - above(-s) - above(t)
+
+
+def test_gaussian_closed_forms_against_the_epsilon_partition_gain():
+    """arXiv 2304.07722 defines pml on a general alphabet through gain
+    functions.  The epsilon-partition gain cuts the secret's line into the
+    cells B_w = {x : w eps <= L(x) < (w + 1) eps} of the information density
+    L(x) = log f(x | y) / f(x), rewards a correct guess of the cell by
+    1 / P_X(B_w), and so achieves log max_w P(B_w | y) / P_X(B_w), which
+    lies in [pml - eps, pml].
+
+    For these families L(x) = A - B (x - c)^2 with B = slope^2 / (2 cond^2)
+    and c = y / slope, and A = L(c) is read off the two normal densities at
+    c.  Each cell is one interval around c (the top cell, w = floor(A / eps))
+    or two intervals.  A cell's ratio is an average of e^L over it, so it
+    lies in [e^(w eps), e^((w + 1) eps)), and the top cell's is the largest.
+    Its prior and posterior masses are normal interval probabilities taken
+    from one tail with math.erfc.  No grid, no scipy and no closed-form
+    algebra enter.
+
+    Domain: where the top cell's prior mass is below 1e-300 (a small rho
+    puts the peak 40 or more prior standard deviations out), its tail masses
+    lose their precision; those draws are skipped and counted.
+    """
+    rng = np.random.default_rng(8)
+    checked = skipped = 0
+    for _ in range(2000):
+        family = str(rng.choice(["additive_gaussian", "bivariate_gaussian"]))
+        sx, s2 = (float(v) for v in rng.uniform(0.05, 5.0, 2))
+        if family == "additive_gaussian":
+            params = {"sigma_x": sx, "sigma_n": s2}
+        else:
+            params = {"sigma_x": sx, "sigma_y": s2, "rho": float(rng.uniform(-0.99, 0.99))}
+        y = float(rng.choice([-4.0, -1.0, 0.0, 0.5, 3.0]))
+        eps = float(rng.choice([0.05, 0.01]))
+        sx, slope, cond = _shape(family, params)
+        var = 1.0 / (1.0 / sx**2 + slope**2 / cond**2)  # X | Y = y ~ N(mean, var)
+        mean = var * slope * y / cond**2
+        c, b = y / slope, slope**2 / (2.0 * cond**2)
+        a = (0.5 * math.log(sx**2 / var) - (c - mean) ** 2 / (2.0 * var)
+             + c**2 / (2.0 * sx**2))
+
+        half = math.sqrt((a - math.floor(a / eps) * eps) / b)  # the top cell's half-width
+        prior = _normal_mass(c - half, c + half, 0.0, sx)
+        if prior < 1e-300:
+            skipped += 1
+            continue
+        value = math.log(_normal_mass(c - half, c + half, mean, math.sqrt(var)) / prior)
+        closed = pml_closed_form(ClosedFormModel(family, params), y).nats
+        assert 0.0 <= closed - value <= eps, (family, params, y, eps, closed, value)
+        checked += 1
+    assert checked >= 1900 and checked + skipped == 2000
