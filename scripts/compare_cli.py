@@ -11,9 +11,9 @@ inputs, so both sides read the same files under the same names.  The inputs
 are the model and family fixtures of CHANGE plus seeded Dirichlet models
 (the shapes the benchmark's ``verify_mix`` uses, one with zero-prior atoms
 and outcomes no input produces, one with 11 and one with 21 inputs, on
-either side of the event oracles' cap, and one with 20 inputs whose
-zero-prior atoms lie both below and above atom 13, where the event oracles'
-blocks begin) and a model whose prior holds a subnormal atom.  Every oracle
+either side of the event oracles' cap, and three with 20, 16 and 14 inputs
+whose zero-prior atoms lie below, at and above atom 13, where the event
+oracles' blocks begin) and a model whose prior holds a subnormal atom.  Every oracle
 runs on every input with the option values below, in nats and in bits, so
 capacity and validation refusals are compared too.  ``compute`` and
 ``tail`` run with their options below on the fixtures, the CSV pair, the model with zero-prior atoms and two seeded
@@ -154,9 +154,10 @@ WIDE_SHAPES = ((16, 2000), (64, 2000))
 #: (inputs, outputs) of seeded full-support models around the event oracles'
 #: cap of 20, drawn after the others so that no earlier input changes
 CAP_SHAPES = ((11, 6), (21, 6))
-#: zero-prior atoms of the seeded 20-input model, drawn last: below atom 13 and
-#: above it, where the event oracles score blocks of 2^13 events
-BLOCK_ZEROS = (2, 7, 13, 17)
+#: (inputs, outputs, zero-prior atoms) of seeded models drawn last, in this
+#: order: zeros below atom 13, at it and above it, where the event oracles'
+#: blocks of 2^13 events begin
+ZERO_SHAPES = ((20, 6, (2, 7, 13, 17)), (16, 5, (1, 12, 13, 15)), (14, 5, (4, 12, 13)))
 #: each outcome option names an outcome of some inputs and of no other
 REPORT_OPTIONS = (
     *(["compute", *options] for options in (
@@ -252,10 +253,12 @@ def write_inputs(change: Path, directory: Path) -> tuple:
         name = f"dirichlet{n}x{m}.json"
         _write_model(directory / name, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m), n))
         inputs.append([name])
-    prior = rng.dirichlet(np.ones(20))
-    prior[list(BLOCK_ZEROS)] = 0.0
-    _write_model(directory / "zeros20x6.json", prior / prior.sum(), rng.dirichlet(np.ones(6), 20))
-    inputs.append(["zeros20x6.json"])
+    for n, m, zeros in ZERO_SHAPES:
+        name = f"zeros{n}x{m}.json"
+        prior = rng.dirichlet(np.ones(n))
+        prior[list(zeros)] = 0.0
+        _write_model(directory / name, prior / prior.sum(), rng.dirichlet(np.ones(m), n))
+        inputs.append([name])
     inputs.append(["subnormal_atom.json"])
     reports = [[name] for name in FIXTURES] + [list(CSV_PAIR), ["zeros9x6.json"], *wide]
     return inputs, reports, [["--family", spec] for spec in specs]

@@ -196,8 +196,7 @@ def cmd_continuous(args) -> tuple:
     }
     if not args.check_grid:
         return EXIT_OK, report
-    keys = ("points", "quantile_clip", "refine")
-    spec = _load_spec(args.grid, "grid spec", keys) if args.grid else {}
+    spec = _load_spec(args.grid, "grid spec", GridSpec.__dataclass_fields__) if args.grid else {}
     grid = GridSpec(**spec)
     report["grid"] = grid.to_dict()
     try:

@@ -130,8 +130,7 @@ class GridSpec:
             raise ValidationError(f"refine factor must be an integer >= 1, got {self.refine!r}")
 
     def to_dict(self) -> dict:
-        return {"points": self.points, "quantile_clip": self.quantile_clip,
-                "refine": self.refine}
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -9,8 +9,9 @@ between the two routes is what the verification suite checks.
 
 Enumeration caps are hard errors: an oracle that silently under-searches
 is worse than none.  The subset and function oracles take 2^n time for n
-inputs but hold only blocks of at most 2^16 events: about 1 MiB at the cap
-of 20 inputs, not the 16 MiB of a posterior and a prior table of 2^20 masses.
+inputs but score them in blocks of at most 2^13 events, one block up to 13
+inputs: about 1 MiB at the cap of 20 inputs, not the 16 MiB of a posterior
+and a prior table of 2^20 masses.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .errors import (
 
 #: largest input alphabet for the subset and function oracles, which score 2^n events
 SUBSET_CAP = 20
-#: event tables of up to 2^16 masses are built whole, larger ones in blocks of 2^13
-WHOLE_TABLE_BITS = 16
+#: events are scored in blocks spanning this many atoms: 2^13 masses, 64 KiB of floats
 BLOCK_BITS = 13
 #: largest estimate alphabet / resolution for simplex enumeration
 STRATEGY_ALPHABET_CAP = 4
@@ -117,18 +117,12 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
     return s
 
 
-def _low_atoms(n: int) -> int:
-    """How many of n atoms span one block of events: all of them up to
-    2^WHOLE_TABLE_BITS events, else BLOCK_BITS (a 64 KiB block of floats)."""
-    return n if n <= WHOLE_TABLE_BITS else BLOCK_BITS
-
-
 @lru_cache(maxsize=1)
 def _prior_events(prior: DiscreteDistribution) -> Tuple[np.ndarray, np.ndarray]:
     """The prior's masses on the events of its low atoms and the masks of the
     null ones (the subsets of its zero low atoms), built once per prior
     rather than once per outcome."""
-    probs = prior.probs[: _low_atoms(prior.alphabet.size)]
+    probs = prior.probs[:BLOCK_BITS]
     sums = _subset_sums(probs)
     sums.setflags(write=False)
     # a mask is the sum of its atoms' bit values: 2^z entries for z zero atoms
@@ -140,13 +134,16 @@ def _event_extremes(model: JointModel, y: Symbol) -> Tuple[float, float]:
     """The largest P_{X|y}(A) / P_X(A) over the non-empty events A, and the
     ratio of the full event.
 
-    The masks sharing their high atoms (those from _low_atoms(n) on) form
-    one block, built from the block without its top high atom plus that
-    atom's mass: the recurrence of _subset_sums, so every mass has the same
-    bits as in one 2^n table.  The high-atom subsets are walked depth first,
-    with one buffer pair per depth, so no 2^n array is ever held.  Bayes
-    inversion gives a null event no posterior mass, so its 0/0 reads 1, as
-    in _set_ratios; no other event divides by zero.  Both the subset and the
+    The masks sharing their high atoms (those from BLOCK_BITS on) form one
+    block, so a model of at most BLOCK_BITS inputs is one block.  Each block
+    is the block without its top high atom plus that atom's mass: the
+    recurrence of _subset_sums, so every mass has the same bits as in one
+    2^n table.  The high-atom subsets are walked depth first, with one
+    buffer pair per depth, so no 2^n array is ever held.  Bayes inversion
+    gives a null event no posterior mass, so its 0/0 reads 1, as in
+    _set_ratios; no other event divides by zero.  The 1s are written through
+    the null masks after a plain division: a ``where=`` division, as in
+    _set_ratios, measured 20.5 -> 37 ms at 20x8.  Both the subset and the
     function oracle score these 2^n events, so the input alphabet is capped
     at SUBSET_CAP symbols.
     """
@@ -158,13 +155,13 @@ def _event_extremes(model: JointModel, y: Symbol) -> Tuple[float, float]:
     post = _posterior(model, y).probs
     prior = model.prior.probs
     prior_low, null = _prior_events(model.prior)
-    k = _low_atoms(n)
+    k = min(n, BLOCK_BITS)
     # depth d holds the block of a d-atom high subset: posterior and prior masses,
     # and whether every one of its high atoms has prior 0
     posts = [_subset_sums(post[:k])] + [np.empty(1 << k) for _ in range(k, n)]
     priors = [prior_low] + [np.empty(1 << k) for _ in range(k, n)]
     nulls = [True] * (n - k + 1)
-    ratios = posts[0] if k == n else np.empty(1 << k)
+    ratios = np.empty(1 << k)
     first = full = -math.inf
     stack = [(0, k - 1)]  # (depth, top atom) of each block still to score
     with np.errstate(invalid="ignore"):
@@ -226,12 +223,9 @@ def check_epsilon(epsilon: float) -> None:
 
 def build_partition_gain(model: JointModel, y: Symbol, epsilon: float) -> PartitionGain:
     check_epsilon(epsilon)
-    post = _posterior(model, y).probs
-    prior = model.prior.probs
+    ratios = _set_ratios(_posterior(model, y).probs, model.prior.probs)
     cells: Dict[float, list] = {}
-    for i, x in enumerate(model.input_alphabet.symbols):
-        # a prior-null atom gets no posterior mass either: 0/0 reads 1
-        f = post[i] / prior[i] if prior[i] > 0.0 else 1.0
+    for x, f in zip(model.input_alphabet.symbols, ratios.tolist()):
         w = -math.inf if f == 0.0 else math.floor(math.log(f) / epsilon)
         cells.setdefault(w, []).append(x)
     return PartitionGain(epsilon, {w: tuple(xs) for w, xs in cells.items()})

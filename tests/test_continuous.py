@@ -225,6 +225,13 @@ def test_density_zero_marginal_rejected():
         pml_density(model, 5.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_density_non_finite_marginal_rejected(bad):
+    model = DensityModel((0.0, 1.0), np.ones_like, lambda y, x: np.ones_like(x), lambda y: bad)
+    with pytest.raises(ValidationError, match=r"marginal density at y=0\.5 is not finite"):
+        pml_density(model, 0.5, GridSpec(points=1024))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, -2.0])
 @pytest.mark.parametrize("size,at", [(1024, 0), (1024, 700), (1024, 1023), (9, 0), (9, 3)])
 def test_density_with_a_non_finite_or_negative_ratio_rejected(bad, size, at):

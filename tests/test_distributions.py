@@ -31,6 +31,7 @@ def test_alphabet_rejects_duplicates_and_empty():
         Alphabet(["a", "a"])
     with pytest.raises(ValidationError):
         Alphabet([])
+    assert len(Alphabet(["a", "b", 3])) == 3
 
 
 def test_distribution_validation():
@@ -155,6 +156,17 @@ def test_truncate_poisson_matches_cumulative_oracle():
         total += pmf
     assert dist.alphabet.symbols[-1] == k
     assert dist.probs.sum() + dist.truncation_deficit == pytest.approx(1.0, abs=1e-12)
+
+
+def test_truncate_poisson_corrects_an_undershooting_isf(monkeypatch):
+    from scipy import stats
+
+    want = truncate_countable("poisson", 2.0, 1e-12)
+    isf = stats.poisson.isf
+    monkeypatch.setattr(stats.poisson, "isf", lambda q, mu: isf(q, mu) - 3)
+    got = truncate_countable("poisson", 2.0, 1e-12)
+    assert got.alphabet.symbols == want.alphabet.symbols
+    assert got.truncation_deficit == want.truncation_deficit
 
 
 def test_truncate_rejects_coarse_tail_and_unknown_law():

@@ -719,20 +719,24 @@ def _with_zero_atoms(seed, n, zeros):
 
 
 class TestBlockedEvents:
-    """Above 2^16 events the event oracles score blocks of 2^13 events that
-    share their high atoms, never a whole 2^n table."""
+    """At every size the event oracles score blocks of at most 2^13 events
+    that share their high atoms, never a whole 2^n table; up to 13 inputs
+    the one block holds every event."""
 
-    @pytest.mark.parametrize("n", [14, 16, 17, oracles.SUBSET_CAP])
+    @pytest.mark.parametrize("n", [13, 14, 15, 16, 17, oracles.SUBSET_CAP])
     @pytest.mark.parametrize("where", ["low", "high", "all_high"])
     def test_extremes_bit_for_bit_against_the_full_table(self, n, where):
         # zero atoms among the first 13 atoms, among the later ones, or on
         # every later one (with a low one too, so a block whose high atoms
-        # are all null also holds null events of its low atoms)
+        # are all null also holds null events of its low atoms); at 13
+        # inputs the atoms from 13 on do not exist
         zeros = {"low": [1, 4, 12], "high": [2, 13, n - 1], "all_high": [5, *range(13, n)]}
-        model = _with_zero_atoms(193 + n, n, zeros[where])
+        model = _with_zero_atoms(193 + n, n, [z for z in zeros[where] if z < n])
         for y in _outcomes(model):
             first, full = _full_table_extremes(model, y)
             assert oracles._event_extremes(model, y) == (first, full)
+            # the prior's memo holds one block, never a table of 2^n masses
+            assert oracles._prior_events(model.prior)[0].size == 1 << min(n, oracles.BLOCK_BITS)
             assert subset_oracle(model, y) == math.log(first)
             for k in (2, n + 1):
                 assert randomized_function_oracle(model, y, k) == math.log(max(1.0, first))
