@@ -39,7 +39,11 @@ the options below: negative and exponent outcomes, ``=`` forms,
 abbreviations, grid checks with inline and file grids (among them the
 benchmark's two grid shapes and the largest and a 1e-300 quantile clip),
 and a grid file without ``--check-grid``; ``SINGLE_REQUESTS`` adds grid
-checks of the bivariate family at rho = 0.99 and -0.99.  Last come argv on which argparse exits: help,
+checks of the bivariate family at rho = 0.99 and -0.99, grid checks of both
+linear-Gaussian families on the smallest grid (1024 points), alone and with
+the largest quantile clip, each grid given inline and as a file, and grids
+past the 2^20-point cap: by one point, on the scanned and on the refining
+grid, and by a 400-digit integer in each field.  Last come argv on which argparse exits: help,
 ``--version`` and usage errors, whose exit code 2 and stderr are compared.
 
 Exits 0 when every request matches and 1 otherwise.
@@ -109,6 +113,14 @@ MODEL_TEXTS = {
 BENCH_GRIDS = ({"points": 4096, "refine": 8}, {"points": 16384, "refine": 16})
 #: the largest quantile clip, ``continuous.MAX_QUANTILE_CLIP``, and a far smaller one
 CLIP_GRIDS = ({"quantile_clip": 4.9e-07}, {"quantile_clip": 1e-300})
+#: the smallest grid, alone and with the largest quantile clip, whose prior mass
+#: is checked on it; each is given inline and as the file named here
+SMALL_GRIDS = {"small_grid.json": {"points": 1024},
+               "small_clip_grid.json": {"points": 1024, "quantile_clip": 4.9e-07}}
+#: grids past the cap of 2^20 points: by one point, on the scanned grid and on the
+#: refining grid of 2 * refine + 1 points, and by a 400-digit integer in each field
+CAPPED_GRIDS = ('{"points": 1048577}', '{"refine": 524288}',
+                *(f'{{"{key}": 1{"0" * 400}}}' for key in ("points", "refine")))
 #: requests on one input each; 20.978589993105462 is outcome 13's leakage in bits
 SINGLE_REQUESTS = (
     *(["compute", name] for name in MODEL_TEXTS if name != "deep_spec.json"),
@@ -134,6 +146,11 @@ SINGLE_REQUESTS = (
     *(["continuous", "--family", json.dumps({"family": "bivariate_gaussian", "params": {
         "sigma_x": 1.0, "sigma_y": 2.0, "rho": rho}}), "--outcome", "1.5", "--check-grid",
        "--grid", json.dumps(grid)] for rho in (0.99, -0.99) for grid in BENCH_GRIDS),
+    *(["continuous", "--family", f"family_{family}.json", "--outcome", "0.7", "--check-grid",
+       "--grid", grid] for family in ("additive_gaussian", "bivariate_gaussian")
+      for grid in (*SMALL_GRIDS, *map(json.dumps, SMALL_GRIDS.values()))),
+    *(["continuous", "--family", "family_additive_gaussian.json", "--outcome", "1",
+       "--check-grid", "--grid", grid] for grid in CAPPED_GRIDS),
 )
 #: (inputs, outputs) of the seeded full-support models
 SHAPES = ((10, 8), (12, 6), (16, 7), (20, 8))
@@ -220,7 +237,8 @@ def write_inputs(change: Path, directory: Path) -> tuple:
     families = [f"family_{family}.json" for family in FAMILIES]
     for name in FIXTURES + CSV_PAIR + tuple(families):
         shutil.copyfile(change / "fixtures" / name, directory / name)
-    (directory / "grid.json").write_text(json.dumps(GRID), encoding="utf-8")
+    for name, grid in {"grid.json": GRID, **SMALL_GRIDS}.items():
+        (directory / name).write_text(json.dumps(grid), encoding="utf-8")
     for name, text in {**BLANK_LINE_PAIR, **BLANK_CELLS_PAIR, **INTEGRAL_LABEL_PAIR}.items():
         (directory / name).write_text(text, encoding="utf-8")
     for name, doc in MODELS.items():

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import statistics
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .distributions import (
 )
 from .errors import (
     CapabilityError,
+    CapacityError,
     ParameterError,
     UndefinedOutcomeError,
     ValidationError,
@@ -33,10 +33,13 @@ from .errors import (
 from .leakage import LeakageValue
 
 MIN_GRID_POINTS = 1 << 10
+#: most points of either grid a check scans, ``points`` and ``2 * refine + 1``
+MAX_GRID_POINTS = 1 << 20
+_INTEGERS, _REALS = (int, np.integer), (int, float, np.integer, np.floating)
 DENSITY_CLIP_DEFICIT = 1e-6
 #: largest ``GridSpec.quantile_clip``: the two clipped prior tails drop
 #: 2 * clip of mass, and 2% of DENSITY_CLIP_DEFICIT is left for the
-#: trapezoid rule, which loses about 7e-13 more at 1 << 14 points
+#: trapezoid rule, which loses at most about 1.9e-10 more at MIN_GRID_POINTS
 MAX_QUANTILE_CLIP = 0.49 * DENSITY_CLIP_DEFICIT
 #: closed range of a family's scale parameters: the closed forms square
 #: them and divide one square by another, and within this range every
@@ -100,10 +103,10 @@ def _norm_isf(q: float) -> float:
     return -statistics.NormalDist().inv_cdf(q)
 
 
-def _number(value, kind) -> bool:
-    """Whether ``value`` is a ``kind`` other than a bool: ``numbers`` counts
-    bool as Integral, but JSON's true and false are not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _number(value, kinds) -> bool:
+    """Whether ``value``, a JSON or numpy number, is one of ``kinds`` other than a bool:
+    bool is an int, but JSON's true and false are not numbers (numpy's bool is neither)."""
+    return isinstance(value, kinds) and type(value) is not bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,19 +118,23 @@ class GridSpec:
     refine: int = 16
 
     def __post_init__(self):
-        if not (_number(self.points, numbers.Integral) and self.points >= MIN_GRID_POINTS):
+        if not (_number(self.points, _INTEGERS) and self.points >= MIN_GRID_POINTS):
             raise ValidationError(
                 f"grid points must be an integer >= {MIN_GRID_POINTS}, got {self.points!r}"
             )
-        if not (_number(self.quantile_clip, numbers.Real)
+        if self.points > MAX_GRID_POINTS:
+            raise CapacityError(f"grid points exceed cap {MAX_GRID_POINTS}")
+        if not (_number(self.quantile_clip, _REALS)
                 and 0 < self.quantile_clip <= MAX_QUANTILE_CLIP):
             raise ValidationError(
                 f"quantile_clip must lie in (0, {MAX_QUANTILE_CLIP:g}], got "
                 f"{self.quantile_clip!r}: the two clipped prior tails may drop at "
                 f"most {DENSITY_CLIP_DEFICIT:g} of mass"
             )
-        if not (_number(self.refine, numbers.Integral) and self.refine >= 1):
+        if not (_number(self.refine, _INTEGERS) and self.refine >= 1):
             raise ValidationError(f"refine factor must be an integer >= 1, got {self.refine!r}")
+        if self.refine > (MAX_GRID_POINTS - 1) // 2:  # 2 * refine + 1 > cap, without overflow
+            raise CapacityError(f"refining grid points 2 * refine + 1 exceed cap {MAX_GRID_POINTS}")
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -139,7 +146,8 @@ class DensityModel:
 
     ``x_domain`` is the represented interval (typically prior quantiles
     [clip, 1 - clip] of an unbounded law).  When no analytic marginal is
-    supplied, f_Y is integrated numerically over the grid.
+    supplied, f_Y is integrated numerically over the grid; ``pml_density``
+    checks the prior's mass on the grid it scans.
     """
 
     x_domain: Tuple[float, float]
@@ -151,13 +159,6 @@ class DensityModel:
         lo, hi = self.x_domain
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValidationError(f"x_domain must be a finite interval, got {self.x_domain!r}")
-        xs = _grid(lo, hi, 1 << 14)
-        mass = _trapezoid(self.prior_density(xs), xs)
-        if not (1.0 - DENSITY_CLIP_DEFICIT <= mass <= 1.0 + 1e-9):
-            raise ValidationError(
-                f"prior density integrates to {mass!r} over the domain; "
-                f"clipping deficit must be <= {DENSITY_CLIP_DEFICIT:g}"
-            )
 
     def marginal_at(self, y: float, xs: np.ndarray) -> float:
         if self.marginal_density is not None:
@@ -190,10 +191,16 @@ def pml_density(
     """log sup over the represented domain of f_{Y|X}(y, x) / f_Y(y).
 
     Scans the grid, then refines around the argmax cell with a mesh
-    ``grid.refine`` times finer.  Ties break toward the lowest x.
+    ``grid.refine`` times finer.  Ties break toward the lowest x.  It first refuses a
+    prior whose trapezoid mass there lies outside [1 - DENSITY_CLIP_DEFICIT, 1 + 1e-9].
     """
     lo, hi = model.x_domain
     xs = _grid(lo, hi, grid.points)
+    mass = _trapezoid(model.prior_density(xs), xs)
+    if not (1.0 - DENSITY_CLIP_DEFICIT <= mass <= 1.0 + 1e-9):
+        raise ValidationError(f"prior density integrates to {mass!r} over the domain (points="
+                              f"{grid.points}); clipping deficit must be <= "
+                              f"{DENSITY_CLIP_DEFICIT:g}")
     f_y = model.marginal_at(y, xs)
     if not math.isfinite(f_y):
         raise ValidationError(f"marginal density at y={y!r} is not finite")
@@ -296,13 +303,13 @@ class ClosedFormModel:
     """A leakage family with a known closed-form answer."""
 
     family: str
-    params: Mapping[str, float]
+    params: dict
 
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
         record = _FAMILIES[self.family]
-        if not isinstance(self.params, Mapping):
+        if not isinstance(self.params, dict):
             raise ParameterError(f"{self.family} params must be an object, got {self.params!r}")
         if set(self.params) != set(record.params):
             raise ParameterError(
@@ -310,7 +317,7 @@ class ClosedFormModel:
             )
         for name, value in self.params.items():
             try:
-                finite = _number(value, numbers.Real) and math.isfinite(value)
+                finite = _number(value, _REALS) and math.isfinite(value)
             except OverflowError:  # an int beyond the float range
                 finite = False
             if not finite:

@@ -226,6 +226,11 @@ def load_model_json(path: PathLike) -> JointModel:
         if key == "channel":
             entries = (v for row in doc[key] if type(row) is list for v in row)
             _require(entries, "number", f"{path}: channel entries")
+            lengths = list(map(len, doc[key]))
+            i = next((i for i, n in enumerate(lengths) if n != lengths[0]), 0)
+            if i:
+                raise ValidationError(f"{path}: channel row {i} holds {lengths[i]} entries, "
+                                      f"row 0 holds {lengths[0]}")
         try:
             doc[key] = np.array(doc[key], dtype=float) if key in doc else None
         except OverflowError:

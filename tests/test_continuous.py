@@ -22,9 +22,18 @@ from pmlkit import (
     to_density_model,
     uniform,
 )
-from pmlkit.continuous import MAX_QUANTILE_CLIP, _grid, _norm_isf, _norm_pdf, _trapezoid
+from pmlkit.continuous import (
+    MAX_GRID_POINTS,
+    MAX_QUANTILE_CLIP,
+    MIN_GRID_POINTS,
+    _grid,
+    _norm_isf,
+    _norm_pdf,
+    _trapezoid,
+)
 from pmlkit.errors import (
     CapabilityError,
+    CapacityError,
     ParameterError,
     UndefinedOutcomeError,
     ValidationError,
@@ -264,6 +273,36 @@ def test_grid_spec_validation():
     for field in ("points", "quantile_clip", "refine"):
         with pytest.raises(ValidationError, match="got True"):
             GridSpec(**{field: True})
+        with pytest.raises(ValidationError, match="got np.True_"):
+            GridSpec(**{field: np.True_})
+
+
+def test_grid_spec_takes_numpy_numbers():
+    grid = GridSpec(points=np.int32(2048), quantile_clip=np.float32(1e-9), refine=np.uint8(4))
+    assert (grid.points, grid.refine) == (2048, 4)
+    params = {"sigma_x": np.float32(1.5), "sigma_n": np.int64(2)}
+    model = ClosedFormModel("additive_gaussian", params)
+    assert model.params == {"sigma_x": 1.5, "sigma_n": 2.0}
+    result = pml_density(to_density_model(model, grid.quantile_clip), 0.5, grid)
+    assert result.value.nats == pytest.approx(pml_closed_form(model, 0.5).nats, abs=1e-4)
+    with pytest.raises(ParameterError, match="sigma must be a finite number, got np.True_"):
+        ClosedFormModel("gaussian_mixture", {"sigma": np.True_})
+
+
+def test_grid_spec_caps_both_grids():
+    # the cap is checked before any grid is built or any float conversion
+    assert GridSpec(points=MAX_GRID_POINTS).points == MAX_GRID_POINTS
+    assert GridSpec(refine=(MAX_GRID_POINTS - 1) // 2).refine == 524287  # 2 * 524287 + 1 < cap
+    huge = 10**400
+    for spec in ({"points": MAX_GRID_POINTS + 1}, {"points": huge},
+                 {"points": np.int64(2**62)}):
+        with pytest.raises(CapacityError) as info:
+            GridSpec(**spec)
+        assert str(info.value) == "grid points exceed cap 1048576"
+    for refine in (MAX_GRID_POINTS // 2, huge, np.int64(2**62)):
+        with pytest.raises(CapacityError) as info:
+            GridSpec(refine=refine)
+        assert str(info.value) == "refining grid points 2 * refine + 1 exceed cap 1048576"
 
 
 def test_quantile_clip_bound_is_the_largest_that_builds_a_density():
@@ -277,16 +316,42 @@ def test_quantile_clip_bound_is_the_largest_that_builds_a_density():
     ]
     for model in families:
         for clip in [5e-324, 1e-300, *np.geomspace(1e-12, MAX_QUANTILE_CLIP, 25)]:
-            to_density_model(model, GridSpec(quantile_clip=float(clip)).quantile_clip)
+            for points in (MIN_GRID_POINTS, GridSpec().points):
+                grid = GridSpec(points=points, quantile_clip=float(clip), refine=2)
+                density = to_density_model(model, grid.quantile_clip)
+                assert pml_density(density, 0.5, grid).grid == grid
 
 
 def test_density_model_requires_normalized_prior():
-    with pytest.raises(ValidationError):
-        DensityModel(
-            x_domain=(-1.0, 1.0),
-            prior_density=lambda x: stats.norm.pdf(x),  # misses ~32% of the mass
-            conditional_density=lambda y, x: stats.norm.pdf(y - x),
-        )
+    model = DensityModel(
+        x_domain=(-1.0, 1.0),
+        prior_density=lambda x: stats.norm.pdf(x),  # misses ~32% of the mass
+        conditional_density=lambda y, x: stats.norm.pdf(y - x),
+    )
+    with pytest.raises(ValidationError) as info:
+        pml_density(model, 0.0, GridSpec(points=2048))
+    assert str(info.value).startswith("prior density integrates to 0.6826")
+    assert str(info.value).endswith(
+        " over the domain (points=2048); clipping deficit must be <= 1e-06")
+
+
+def test_prior_mass_is_checked_on_the_grid_scanned():
+    # N(0, s^2) with s half the spacing of 1024 points on [-1, 1], centred
+    # between two of them: the trapezoid rule there drops about 1.4% of its
+    # mass, and on 2^14 points, 16 times finer, none that a float shows
+    spacing = 2.0 / (MIN_GRID_POINTS - 1)
+    model = DensityModel(
+        x_domain=(-1.0, 1.0),
+        prior_density=lambda x: _norm_pdf(x, scale=spacing / 2),
+        conditional_density=lambda y, x: _norm_pdf(y, loc=x),  # numeric marginal
+    )
+    with pytest.raises(ValidationError, match=r"integrates to 0\.98.*\(points=1024\)"):
+        pml_density(model, 0.5, GridSpec(points=MIN_GRID_POINTS))
+    result = pml_density(model, 0.5, GridSpec())
+    # the prior is nearly a point mass at 0, so f_Y(y) is nearly f(y | 0) and the
+    # ratio peaks at x = y with log f(y | y) / f(y | 0) = y^2 / 2
+    assert result.value.nats == pytest.approx(0.125, abs=1e-6)
+    assert result.argmax_x == 0.5
 
 
 def test_integrability_probe_additive_gaussian():

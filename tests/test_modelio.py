@@ -432,15 +432,24 @@ def test_deep_nesting_exits_one_with_one_line(tmp_path, capsys, argv):
         f"pmlkit: validation error: {path}: JSON parse error: nested too deeply\n")
 
 
-def test_ragged_channel_message_is_numpys(tmp_path, capsys):
-    ragged = [[1.0, 0.0], [1.0]]
-    with pytest.raises(ValueError) as conversion:
-        np.asarray(ragged, dtype=float)
-    path = _write(tmp_path, channel=ragged)
+@pytest.mark.parametrize(
+    "channel, reason",
+    [
+        ([[1.0, 0.0], [1.0]], "channel row 1 holds 1 entries, row 0 holds 2"),
+        ([[1.0], [0.5, 0.5]], "channel row 1 holds 2 entries, row 0 holds 1"),
+        ([[1.0, 0.0], [0.0, 1.0], []], "channel row 2 holds 0 entries, row 0 holds 2"),
+        ([[1.0, 0.0], [0.0, 10**400, 1.0]], "channel row 1 holds 3 entries, row 0 holds 2"),
+        ([[1.0, 0.0], [True]], "channel entries must be JSON numbers, got a JSON boolean"),
+    ],
+    ids=["short_row", "long_row", "empty_row", "ragged_huge_int", "entries_first"],
+)
+def test_ragged_channel_rows_rejected_by_name(tmp_path, capsys, channel, reason):
+    # numpy's conversion refused these with a message naming neither file nor key
+    path = _write(tmp_path, channel=channel)
     assert main(["compute", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"pmlkit: validation error: {conversion.value}\n"
+    assert captured.err == f"pmlkit: validation error: {path}: {reason}\n"
 
 
 @pytest.mark.parametrize(
