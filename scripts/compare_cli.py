@@ -282,6 +282,21 @@ def write_inputs(change: Path, directory: Path) -> tuple:
     return inputs, reports, [["--family", spec] for spec in specs]
 
 
+def write_requests(change: Path, directory: Path) -> list:
+    """Write every input into ``directory``; return each request as its kind
+    and its argv, whose file names are relative to ``directory``."""
+    verify_inputs, report_inputs, families = write_inputs(change, directory)
+    requests = [("verify", ["verify", *model, *options])
+                for model in verify_inputs for options in OPTIONS]
+    requests += [(command, [command, *model, *options])
+                 for model in report_inputs for command, *options in REPORT_OPTIONS]
+    requests += [(argv[0], argv) for argv in SINGLE_REQUESTS]
+    requests += [("continuous", ["continuous", *family, *options])
+                 for family in families for options in CONTINUOUS_OPTIONS]
+    requests += [("argparse exit", argv) for argv in ARGPARSE_EXITS]
+    return requests
+
+
 def _start(checkout: Path, argv: list, cwd: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.Popen([sys.executable, "-m", "pmlkit.cli", *argv], cwd=cwd, env=env,
@@ -306,15 +321,7 @@ def main(argv: list) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        verify_inputs, report_inputs, families = write_inputs(change, directory)
-        requests = [("verify", ["verify", *model, *options])
-                    for model in verify_inputs for options in OPTIONS]
-        requests += [(command, [command, *model, *options])
-                     for model in report_inputs for command, *options in REPORT_OPTIONS]
-        requests += [(argv[0], argv) for argv in SINGLE_REQUESTS]
-        requests += [("continuous", ["continuous", *family, *options])
-                     for family in families for options in CONTINUOUS_OPTIONS]
-        requests += [("argparse exit", argv) for argv in ARGPARSE_EXITS]
+        requests = write_requests(change, directory)
         for _, request in requests:
             # both sides of a request run side by side, one process each
             running = [_start(root, request, directory) for root in (parent, change)]

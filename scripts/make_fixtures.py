@@ -7,19 +7,32 @@ Run explicitly from the repo root:
 
 Goldens are byte-exact expected reports; tests never regenerate them.
 The fixture inputs come from ``fixture_texts()``, which a test compares
-with the committed files byte for byte.
+with the committed files byte for byte.  ``golden/requests.json`` is the
+manifest of every request ``scripts/compare_cli.py`` replays: the sha256 of
+each input it writes, and each argv with its exit code and the length and
+sha256 of its stdout and stderr, as a fresh interpreter gave them.
 """
 
+import hashlib
+import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
+MANIFEST = GOLDEN / "requests.json"
+
+# the request table, loaded by path as tests/conftest.py loads this script
+_spec = importlib.util.spec_from_file_location("compare_cli", ROOT / "scripts" / "compare_cli.py")
+compare_cli = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_cli)
 
 #: the argv of each golden report; names of files in fixtures/ stand for
 #: their paths.  tests/test_cli.py loads this table from here.
@@ -129,6 +142,40 @@ def fixture_texts():
     return texts
 
 
+def digest(data):
+    """A request's stdout or stderr as its length and sha256."""
+    return [len(data), hashlib.sha256(data).hexdigest()]
+
+
+def write_request_inputs(directory):
+    """Write every input of ``compare_cli`` into ``directory``; return each
+    file's sha256 by name, and the argv of every request, in replay order."""
+    requests = compare_cli.write_requests(ROOT, directory)
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in sorted(directory.iterdir())}
+    return hashes, [argv for _, argv in requests]
+
+
+def _record(argv, directory):
+    """One request's manifest entry, from a fresh interpreter run in ``directory``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pmlkit.cli"] + argv, capture_output=True, cwd=directory,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(ROOT / "src"), "PYTHONUTF8": "1",
+             "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"},
+    )
+    if str(directory).encode() in proc.stdout + proc.stderr:
+        raise SystemExit(f"request {argv} prints its input directory")
+    return {"argv": argv, "exit": proc.returncode, "stdout": digest(proc.stdout),
+            "stderr": digest(proc.stderr)}
+
+
+def manifest_text(hashes, entries):
+    """The manifest as JSON, one input and one request per line."""
+    inputs = ",\n".join(f"  {json.dumps(name)}: {json.dumps(sha)}" for name, sha in hashes.items())
+    rows = ",\n".join(f"  {json.dumps(entry, sort_keys=True)}" for entry in entries)
+    return f'{{\n"inputs": {{\n{inputs}\n}},\n"requests": [\n{rows}\n]\n}}\n'
+
+
 def write(path, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -149,6 +196,13 @@ def main():
         if proc.returncode != 0:
             raise SystemExit(f"golden {name} failed: {proc.stderr}")
         write(GOLDEN / name, proc.stdout)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = pathlib.Path(tmp)
+        hashes, argvs = write_request_inputs(directory)
+        with ThreadPoolExecutor(2) as pool:
+            entries = list(pool.map(lambda argv: _record(argv, directory), argvs))
+    write(MANIFEST, manifest_text(hashes, entries))
 
 
 if __name__ == "__main__":

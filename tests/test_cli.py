@@ -119,7 +119,7 @@ def test_requests_call_no_python_level_numpy_helpers(monkeypatch, fixtures_dir, 
 
 def test_every_golden_file_has_an_argv(fixtures_dir):
     on_disk = {p.name for p in (fixtures_dir / "golden").iterdir()}
-    assert on_disk == set(make_fixtures.GOLDENS)
+    assert on_disk == {*make_fixtures.GOLDENS, make_fixtures.MANIFEST.name}
 
 
 def test_fixture_inputs_match_their_generator(fixtures_dir):
