@@ -169,7 +169,7 @@ def _record(argv, directory):
             "stderr": digest(proc.stderr)}
 
 
-def manifest_text(hashes, entries):
+def _manifest_text(hashes, entries):
     """The manifest as JSON, one input and one request per line."""
     inputs = ",\n".join(f"  {json.dumps(name)}: {json.dumps(sha)}" for name, sha in hashes.items())
     rows = ",\n".join(f"  {json.dumps(entry, sort_keys=True)}" for entry in entries)
@@ -202,7 +202,7 @@ def main():
         hashes, argvs = write_request_inputs(directory)
         with ThreadPoolExecutor(2) as pool:
             entries = list(pool.map(lambda argv: _record(argv, directory), argvs))
-    write(MANIFEST, manifest_text(hashes, entries))
+    write(MANIFEST, _manifest_text(hashes, entries))
 
 
 if __name__ == "__main__":

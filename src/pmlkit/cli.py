@@ -118,8 +118,6 @@ def cmd_verify(args) -> tuple:
     if args.oracle == "strategies" and args.gains < 1:
         raise ValidationError(f"--gains must be >= 1 for the strategies oracle, got {args.gains}")
     model = load_model(args.channel, args.prior)
-    n = model.input_alphabet.size
-    k = min(args.max_groups, n)
     if args.oracle == "strategies":  # only this oracle draws; --seed seeds its gains
         rng = random.Random(args.seed)
         gains = [_random_gain(rng, model) for _ in range(args.gains)]
@@ -130,13 +128,16 @@ def cmd_verify(args) -> tuple:
         return all(checks) and all(bounded)
 
     # oracle -> (its value at y, where the pipeline reads value; the band value - oracle must lie
-    # in, open above where fewer than |X| groups make the functions oracle a lower bound; a
-    # pass/fail check, or None: the strategy checks report the leakage itself and a 0.0 gap)
+    # in; a pass/fail check, or None: the strategy checks report the leakage itself and a 0.0
+    # gap).  From two groups on, the functions oracle scores every event, as subset does (the
+    # binary-function reduction); one group on two or more inputs scores the full event alone,
+    # a lower bound, so its band is open above.
     oracle_at, low, high, holds = {
         "subset": (lambda y, value: subset_oracle(model, y), -GAP_TOL, GAP_TOL, None),
         "partition": (lambda y, value: partition_oracle(model, y, eps), -1e-12, eps + 1e-12, None),
-        "functions": (lambda y, value: randomized_function_oracle(model, y, k),
-                      -GAP_TOL, GAP_TOL if k >= n else math.inf, None),
+        "functions": (lambda y, value: randomized_function_oracle(model, y, args.max_groups),
+                      -GAP_TOL, math.inf if args.max_groups == 1 and model.input_alphabet.size > 1
+                      else GAP_TOL, None),
         "strategies": (lambda y, value: value, 0.0, 0.0, strategies_hold),
     }[args.oracle]
     rows = []

@@ -135,6 +135,11 @@ class GridSpec:
             raise ValidationError(f"refine factor must be an integer >= 1, got {self.refine!r}")
         if self.refine > (MAX_GRID_POINTS - 1) // 2:  # 2 * refine + 1 > cap, without overflow
             raise CapacityError(f"refining grid points 2 * refine + 1 exceed cap {MAX_GRID_POINTS}")
+        # a numpy number keeps its type: a uint8 refine wraps 2 * refine + 1, and no
+        # numpy number is a JSON number in to_dict()
+        object.__setattr__(self, "points", int(self.points))
+        object.__setattr__(self, "quantile_clip", float(self.quantile_clip))
+        object.__setattr__(self, "refine", int(self.refine))
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}

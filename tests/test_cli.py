@@ -167,13 +167,18 @@ def test_verify_partition(capsys, random_model_file):
     assert all(-1e-12 <= row["gap"] <= 0.05 + 1e-12 for row in doc["rows"])
 
 
-def test_verify_functions_lower_bound_mode(capsys, random_model_file):
+def test_verify_functions_lower_bound_mode(capsys, random_model_file, tmp_path):
     doc = run_json(
-        capsys, "verify", str(random_model_file), "--oracle", "functions", "--max-groups", "2"
+        capsys, "verify", str(random_model_file), "--oracle", "functions", "--max-groups", "1"
     )
     assert doc["all_ok"]
     assert doc["lower_bound"]
     assert all(row["gap"] >= -1e-10 for row in doc["rows"])
+    # on one input the full event is every event, so one group is exact
+    one = tmp_path / "one_input.json"
+    save_model_json(random_full_support_model(np.random.default_rng(3), 1, 3), one)
+    doc = run_json(capsys, "verify", str(one), "--oracle", "functions", "--max-groups", "1")
+    assert doc["all_ok"] and not doc["lower_bound"]
 
 
 def test_verify_functions_full_cardinality(capsys, random_model_file):
@@ -204,7 +209,7 @@ def test_verify_functions_shares_the_subset_cap(capsys, tmp_path):
         paths[n] = tmp_path / f"random{n}.json"
         save_model_json(random_full_support_model(rng, n, 3), paths[n])
     doc = run_json(capsys, "verify", str(paths[12]), "--oracle", "functions")
-    assert doc["all_ok"] and doc["lower_bound"]
+    assert doc["all_ok"] and not doc["lower_bound"]
     for groups in ("5", "0"):
         code, out, err = run(capsys, "verify", str(paths[21]), "--oracle", "functions",
                              "--max-groups", groups)
@@ -244,33 +249,52 @@ def _oracle_above_pml(model, y, *rest):
     return cli.pml(model, y).nats + 1.0
 
 
+def _oracle_below_pml(model, y, *rest):
+    """A broken oracle: one nat below the pipeline's leakage at ``y``."""
+    return cli.pml(model, y).nats - 1.0
+
+
+def _oracle_zero(model, y, *rest):
+    """A broken oracle that finds no leakage at all."""
+    return 0.0
+
+
+# the model is the 5-input random one, or a fixture where one is named; from two
+# groups on the functions oracle is exact, so an oracle below pml fails there too
 @pytest.mark.parametrize(
-    "oracle, patched, fake, options",
+    "oracle, patched, fake, options, fixture",
     [
-        ("subset", "subset_oracle", _oracle_above_pml, []),
-        ("partition", "partition_oracle", _oracle_above_pml, ["--eps", "0.05"]),
-        ("functions", "randomized_function_oracle", _oracle_above_pml, ["--max-groups", "2"]),
-        ("functions", "randomized_function_oracle", _oracle_above_pml, ["--max-groups", "5"]),
-        ("strategies", "randomized_strategy_check", lambda *args: False, ["--gains", "2"]),
+        ("subset", "subset_oracle", _oracle_above_pml, [], None),
+        ("partition", "partition_oracle", _oracle_above_pml, ["--eps", "0.05"], None),
+        ("functions", "randomized_function_oracle", _oracle_above_pml, ["--max-groups", "1"],
+         None),
+        ("functions", "randomized_function_oracle", _oracle_above_pml, ["--max-groups", "5"],
+         None),
+        ("functions", "randomized_function_oracle", _oracle_below_pml, ["--max-groups", "2"],
+         None),
+        ("functions", "randomized_function_oracle", _oracle_zero, [], "cap10x8.json"),
+        ("strategies", "randomized_strategy_check", lambda *args: False, ["--gains", "2"], None),
     ],
-    ids=["subset", "partition", "functions_lower_bound", "functions_exact", "strategies"],
+    ids=["subset", "partition", "functions_lower_bound", "functions_exact",
+         "functions_below_pml", "functions_zero", "strategies"],
 )
-def test_oracle_disagreement_exits_two(capsys, random_model_file, tmp_path, monkeypatch,
-                                       oracle, patched, fake, options):
+def test_oracle_disagreement_exits_two(capsys, random_model_file, fixtures_dir, tmp_path,
+                                       monkeypatch, oracle, patched, fake, options, fixture):
     monkeypatch.setattr(cli, patched, fake)
-    argv = ["verify", str(random_model_file), "--oracle", oracle, *options]
+    path = random_model_file if fixture is None else fixtures_dir / fixture
+    argv = ["verify", str(path), "--oracle", oracle, *options]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (2, "")
     doc = json.loads(out)
     assert doc["all_ok"] is False and doc["oracle"] == oracle
-    model = load_model(random_model_file)
+    model = load_model(path)
     assert len(doc["rows"]) == model.output_alphabet.size
     for row in doc["rows"]:
         assert row["ok"] is False
         if oracle == "strategies":
             assert (row["oracle"], row["gap"]) == (row["pml"], 0.0)
         else:
-            assert row["oracle"] == _oracle_above_pml(model, row["outcome"])
+            assert row["oracle"] == fake(model, row["outcome"])
             assert row["gap"] == row["pml"] - row["oracle"]
     target = tmp_path / "report.json"
     assert run(capsys, *argv, "--output", str(target)) == (2, "", "")

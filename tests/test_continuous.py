@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -22,6 +23,7 @@ from pmlkit import (
     to_density_model,
     uniform,
 )
+from pmlkit import continuous
 from pmlkit.continuous import (
     MAX_GRID_POINTS,
     MAX_QUANTILE_CLIP,
@@ -31,6 +33,7 @@ from pmlkit.continuous import (
     _norm_pdf,
     _trapezoid,
 )
+from pmlkit.modelio import _json
 from pmlkit.errors import (
     CapabilityError,
     CapacityError,
@@ -287,6 +290,20 @@ def test_grid_spec_takes_numpy_numbers():
     assert result.value.nats == pytest.approx(pml_closed_form(model, 0.5).nats, abs=1e-4)
     with pytest.raises(ParameterError, match="sigma must be a finite number, got np.True_"):
         ClosedFormModel("gaussian_mixture", {"sigma": np.True_})
+
+
+def test_grid_spec_keeps_plain_python_numbers(monkeypatch):
+    # 2 * np.uint8(200) + 1 wraps to 145, so the refining grid would be smaller than
+    # the spec the result reports; and no numpy number is a JSON number
+    grid = GridSpec(points=np.int64(2048), quantile_clip=np.float32(1e-9), refine=np.uint8(200))
+    assert [type(value) for value in grid.to_dict().values()] == [int, float, int]
+    assert json.loads(_json(grid.to_dict())) == {
+        "points": 2048, "quantile_clip": float(np.float32(1e-9)), "refine": 200}
+    sizes = []
+    monkeypatch.setattr(continuous, "_grid", lambda lo, hi, n: sizes.append(n) or _grid(lo, hi, n))
+    model = ClosedFormModel("additive_gaussian", {"sigma_x": 1.0, "sigma_n": 1.0})
+    pml_density(to_density_model(model, grid.quantile_clip), 0.5, grid)
+    assert sizes == [2048, 401]
 
 
 def test_grid_spec_caps_both_grids():

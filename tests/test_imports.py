@@ -4,7 +4,8 @@ and ``verify`` loads no ``numpy.random``, not even for the oracle that draws gai
 scipy takes most of an interpreter's start-up when it is imported, and
 only the library's Poisson truncation helpers need it.  ``numpy.random``
 is a lazy numpy submodule; ``verify --oracle strategies`` draws its gains
-with the standard library's ``random`` instead.
+with the standard library's ``random`` instead.  A star import binds the
+public names and no submodule.
 """
 
 import json
@@ -12,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pmlkit
 
@@ -84,3 +86,13 @@ def test_strategies_request_loads_no_numpy_random(fixtures_dir, tmp_path):
     model = str(fixtures_dir / "identity4.json")
     requests = [(["verify", model, "--oracle", "strategies", "--gains", "3", "--seed", "7"], 0)]
     assert _run_fresh(requests, tmp_path)["numpy.random"] == []
+
+
+def test_star_import_binds_the_public_names_and_no_module():
+    namespace = {}
+    exec("from pmlkit import *", namespace)
+    del namespace["__builtins__"]
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+    public = {name for name, value in vars(pmlkit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(namespace) == sorted(pmlkit.__all__) == sorted(public)

@@ -424,27 +424,6 @@ def _reference_set_partitions(n, max_groups):
     return tuple(np.array(b, dtype=np.intp) for b in buckets if b)
 
 
-def _set_partitions(n, max_groups):
-    """All partitions of n <= 16 items into at most max_groups unlabeled blocks.
-
-    Row r holds the bit masks of partition r's blocks, 0 for an unused
-    block.  The rows are the restricted growth strings in lexicographic
-    order, grown one item at a time: a string using u labels gives item i
-    each label below min(u + 1, max_groups).
-    """
-    blocks = np.zeros((1, max_groups), dtype=np.uint16)
-    used = np.zeros(1, dtype=np.intp)
-    for i in range(n):
-        fan = np.minimum(used + 1, max_groups)
-        parent = np.repeat(np.arange(len(used)), fan)
-        label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
-        blocks = blocks[parent]
-        blocks[np.arange(len(parent)), label] |= 1 << i
-        used = np.maximum(used[parent], label + 1)
-    blocks.setflags(write=False)
-    return blocks
-
-
 def _count_partitions(n, max_groups):
     """Restricted Bell number via the Stirling triangle."""
     row = [1]  # partitions of 1 element into exactly j+1 blocks
@@ -619,24 +598,19 @@ class TestArrayEnumerationAgainstReferences:
     def test_partition_counts_and_blocks(self, n):
         full = (1 << n) - 1
         for k in range(1, n + 1):
-            blocks = _set_partitions(n, k)
-            assert blocks.shape == (_count_partitions(n, k), k)
-            assert not blocks.flags.writeable
+            buckets = _reference_set_partitions(n, k)
+            assert all((strings.max(axis=1) == g).all() for g, strings in enumerate(buckets))
+            strings = np.concatenate(buckets)
+            assert len(strings) == _count_partitions(n, k)
+            blocks = np.zeros((len(strings), k), dtype=np.intp)
+            for i in range(n):
+                blocks[np.arange(len(strings)), strings[:, i]] |= 1 << i
             union = np.bitwise_or.reduce(blocks, axis=1)
             assert (union == full).all()
             assert (blocks.sum(axis=1) == union).all()  # pairwise disjoint
             canonical = np.sort(blocks, axis=1)
             canonical = canonical[np.lexsort(canonical.T[::-1])]
             assert np.diff(canonical, axis=0).any(axis=1).all()  # no repeated partition
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_partitions_equal_reference_strings(self, n):
-        for k in range(1, n + 1):
-            strings = np.concatenate(_reference_set_partitions(n, k))
-            masks = np.zeros((len(strings), k), dtype=np.intp)
-            for i in range(n):
-                masks[np.arange(len(strings)), strings[:, i]] |= 1 << i
-            assert sorted(map(tuple, masks)) == sorted(map(tuple, _set_partitions(n, k)))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_block_events_are_the_reference_blocks(self, n):
