@@ -248,6 +248,16 @@ class TestRandomizedFunctionOracle:
                     pml(model, y).nats, abs=1e-10
                 )
 
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_two_groups_on_meet_the_exact_band(self, k):
+        # The binary-function reduction: from two groups on, every event is a block, so
+        # the oracle equals pml at any k, also below |X|, within verify's exact band.
+        for model in _seeded_models(60 + k, 12, 9):
+            for y in _outcomes(model):
+                assert randomized_function_oracle(model, y, k) == pytest.approx(
+                    pml(model, y).nats, rel=0, abs=cli.GAP_TOL
+                )
+
     def test_single_group_is_zero(self):
         rng = np.random.default_rng(47)
         model = random_full_support_model(rng, 4, 3)
