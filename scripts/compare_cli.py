@@ -27,8 +27,12 @@ outcome ``1``, inline family and grid specs that are not JSON, a negative
 partition ``--eps`` in bits, a strategies ``--resolution`` of 0, a
 geometric-binary family asked for outcome 2, two requests that must be
 refused (a JSON model given with a prior file, and ``--format csv`` with
-``--outcome``), a CSV profile whose outcome label holds a comma, and a CSV
-pair split by an option, which must read as the unsplit pair.  It also adds ``MODEL_TEXTS``, model files at the edges of the channel reader
+``--outcome``), a CSV profile whose outcome label holds a comma, a CSV
+pair split by an option, which must read as the unsplit pair, the subset,
+function and partition oracles on the two models whose ratio overflows, a
+partition ``--eps`` of 5e-324, and grid checks whose posterior peak lies
+past the clipped domain (and one whose peak lies inside).  It also adds
+``MODEL_TEXTS``, model files at the edges of the channel reader
 (``channel`` first or twice, line breaks in and between rows, an empty
 channel, a BOM, trailing data, a trailing comma, NaN and infinite entries,
 ragged and nested rows, boolean, string and null entries, and a row nested
@@ -74,7 +78,9 @@ INTEGRAL_LABEL_PAIR = {"integral_channel.csv": "1.0,2\n1,0\n0,1\n",
                        "integral_prior.csv": "1.0,0.5\n2,0.5\n"}
 #: models written as JSON: prior and row deficits of 1e-9 each, whose marginal
 #: drops 2e-9; a prior atom of 5e-324, whose partition cell's gain overflows;
-#: and an outcome label that a CSV cell must quote
+#: an outcome label that a CSV cell must quote; and a prior atom of 5e-324 that
+#: one outcome reveals, whose pml of 744.44 nats overflows every ratio, with
+#: that outcome last and, labelled "b", first
 MODELS = {
     "deficits1e-9.json": {"alphabet_x": ["a", "b"], "alphabet_y": [0, 1],
                           "prior": [0.5, 0.5 - 1e-9], "truncation_deficit": 1e-9,
@@ -85,6 +91,10 @@ MODELS = {
                             "channel": [[0.5, 0.5], [0.9, 0.1], [0.01, 0.99]]},
     "comma_label.json": {"alphabet_x": [0, 1], "alphabet_y": ["a,b", "c"],
                          "prior": [0.5, 0.5], "channel": [[1, 0], [0.2, 0.8]]},
+    "overflow_last.json": {"alphabet_x": [0, 1], "alphabet_y": [0, 1], "prior": [1.0, 5e-324],
+                           "channel": [[1.0, 0.0], [0.0, 1.0]]},
+    "overflow_first.json": {"alphabet_x": [0, 1], "alphabet_y": ["b", "a"],
+                            "prior": [1.0, 5e-324], "channel": [[0.0, 1.0], [1.0, 0.0]]},
 }
 _KEYS = '"alphabet_x": ["a", "b"], "alphabet_y": [0, 1], "prior": [0.5, 0.5]'
 _ROWS = "[0.9, 0.1], [0.2, 0.8]"
@@ -121,6 +131,12 @@ SMALL_GRIDS = {"small_grid.json": {"points": 1024},
 #: refining grid of 2 * refine + 1 points, and by a 400-digit integer in each field
 CAPPED_GRIDS = ('{"points": 1048577}', '{"refine": 524288}',
                 *(f'{{"{key}": 1{"0" * 400}}}' for key in ("points", "refine")))
+#: grid checks whose posterior peak lies outside the clipped domain, but at
+#: additive outcome 3, and the outcomes of each
+PEAK_CHECKS = (
+    ("additive_gaussian", {"sigma_x": 1, "sigma_n": 1}, ("3", "8", "20")),
+    ("bivariate_gaussian", {"sigma_x": 1, "sigma_y": 1, "rho": 0.1}, ("1", "2", "3")),
+)
 #: requests on one input each; 20.978589993105462 is outcome 13's leakage in bits
 SINGLE_REQUESTS = (
     *(["compute", name] for name in MODEL_TEXTS if name != "deep_spec.json"),
@@ -151,6 +167,11 @@ SINGLE_REQUESTS = (
       for grid in (*SMALL_GRIDS, *map(json.dumps, SMALL_GRIDS.values()))),
     *(["continuous", "--family", "family_additive_gaussian.json", "--outcome", "1",
        "--check-grid", "--grid", grid] for grid in CAPPED_GRIDS),
+    *(["verify", name, "--oracle", oracle] for name in ("overflow_last.json", "overflow_first.json")
+      for oracle in ("subset", "functions", "partition")),
+    ["verify", "identity4.json", "--oracle", "partition", "--eps", "5e-324"],
+    *(["continuous", "--family", json.dumps({"family": family, "params": params}), "--outcome", y,
+       "--check-grid"] for family, params, outcomes in PEAK_CHECKS for y in outcomes),
 )
 #: (inputs, outputs) of the seeded full-support models
 SHAPES = ((10, 8), (12, 6), (16, 7), (20, 8))

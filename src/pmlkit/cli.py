@@ -31,7 +31,7 @@ from itertools import zip_longest
 from typing import Optional
 
 from . import __version__
-from .continuous import ClosedFormModel, GridSpec, pml_closed_form, pml_density, to_density_model
+from .continuous import ClosedFormModel, GridSpec, grid_check, pml_closed_form
 from .distributions import Alphabet, JointModel
 from .errors import CapabilityError, CapacityError, PmlError, ValidationError
 from .leakage import (
@@ -201,11 +201,10 @@ def cmd_continuous(args) -> tuple:
     grid = GridSpec(**spec)
     report["grid"] = grid.to_dict()
     try:
-        density = to_density_model(model, grid.quantile_clip)
+        result = grid_check(model, y, grid)
     except CapabilityError as exc:
         report["grid_check"] = {"error": str(exc)}
         return EXIT_CAPACITY, report
-    result = pml_density(density, y, grid)
     report["grid_check"] = {
         "value": result.value.in_units(args.units),
         "gap": closed.in_units(args.units) - result.value.in_units(args.units),

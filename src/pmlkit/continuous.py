@@ -373,6 +373,26 @@ def to_density_model(
     )
 
 
+def grid_check(
+    model: ClosedFormModel, y: float, grid: GridSpec = GridSpec()
+) -> DensityLeakageResult:
+    """``pml_density`` of the family's density model at the outcome y.
+
+    The log ratio of a linear-Gaussian family is A - B(x - c)^2, which peaks at
+    c = y / slope.  When c lies outside the clipped domain, the grid sees only
+    the domain's edge and the closed form's supremum lies beyond it, so the check
+    is refused.  A flat ratio (slope 0) has no peak and is checked as it is.
+    """
+    density = to_density_model(model, grid.quantile_clip)
+    slope = _FAMILIES[model.family].shape(model.params)[1]
+    lo, hi = density.x_domain
+    if slope != 0.0 and not lo <= y / slope <= hi:
+        raise CapabilityError(
+            f"the posterior peak at outcome y={y!r} lies at x={y / slope!r}, outside the "
+            f"grid's domain [{lo!r}, {hi!r}] (quantile_clip={grid.quantile_clip!r})")
+    return pml_density(density, y, grid)
+
+
 def mixture_limit_check(sigma: float, y_magnitude: float) -> float:
     """Gap ln 2 - leakage of the two-component Gaussian mixture at
     |y| = y_magnitude; positive and vanishing as the magnitude grows."""

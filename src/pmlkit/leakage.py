@@ -143,11 +143,11 @@ def _leakage_nats(model: JointModel, outcomes: slice) -> np.ndarray:
     if fault is not None:
         y = model.output_alphabet.symbols[outcomes][fault[0]]
         raise ValidationError(f"posterior at outcome {y!r}: {fault[1]}")
-    support = ratio > 0.0
+    # off the posterior's support the log ratio is -inf, or NaN where the prior is 0: fmax skips it
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(ratio, out=ratio)
         ratio -= np.log(prior)[:, None]
-    nats = np.max(ratio, axis=0, where=support, initial=-math.inf)
+    nats = np.fmax.reduce(ratio, axis=0)
     nats[~live] = 0.0
     # max ratio >= 1 whenever the posterior (nearly) normalizes; clamp fp dust
     return np.maximum(nats, 0.0, out=nats)

@@ -102,9 +102,11 @@ def gain_ratio(model: JointModel, y: Symbol, g: GainFunction) -> float:
 
 
 def _set_ratios(post_sums: np.ndarray, prior_sums: np.ndarray) -> np.ndarray:
-    """post/prior over paired event masses, with 0/0 = 1 (Bayes' rule leaves no x/0)."""
+    """post/prior over paired event masses, with 0/0 = 1 (Bayes' rule leaves no x/0);
+    a quotient past the float range reads +inf, for the caller to refuse."""
     out = np.ones_like(post_sums)
-    return np.divide(post_sums, prior_sums, out=out, where=prior_sums > 0)
+    with np.errstate(over="ignore"):
+        return np.divide(post_sums, prior_sums, out=out, where=prior_sums > 0)
 
 
 def _subset_sums(v: np.ndarray) -> np.ndarray:
@@ -118,16 +120,12 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _prior_events(prior: DiscreteDistribution) -> Tuple[np.ndarray, np.ndarray]:
-    """The prior's masses on the events of its low atoms and the masks of the
-    null ones (the subsets of its zero low atoms), built once per prior
-    rather than once per outcome."""
-    probs = prior.probs[:BLOCK_BITS]
-    sums = _subset_sums(probs)
+def _prior_events(prior: DiscreteDistribution) -> np.ndarray:
+    """The prior's masses on the events of its low atoms, the first block,
+    built once per prior rather than once per outcome."""
+    sums = _subset_sums(prior.probs[:BLOCK_BITS])
     sums.setflags(write=False)
-    # a mask is the sum of its atoms' bit values: 2^z entries for z zero atoms
-    null = _subset_sums(np.exp2(np.flatnonzero(probs == 0))).astype(np.intp)
-    return sums, null
+    return sums
 
 
 def _event_extremes(model: JointModel, y: Symbol) -> Tuple[float, float]:
@@ -140,12 +138,13 @@ def _event_extremes(model: JointModel, y: Symbol) -> Tuple[float, float]:
     recurrence of _subset_sums, so every mass has the same bits as in one
     2^n table.  The high-atom subsets are walked depth first, with one
     buffer pair per depth, so no 2^n array is ever held.  Bayes inversion
-    gives a null event no posterior mass, so its 0/0 reads 1, as in
-    _set_ratios; no other event divides by zero.  The 1s are written through
-    the null masks after a plain division: a ``where=`` division, as in
-    _set_ratios, measured 20.5 -> 37 ms at 20x8.  Both the subset and the
-    function oracle score these 2^n events, so the input alphabet is capped
-    at SUBSET_CAP symbols.
+    gives a null event no posterior mass and leaves no x/0, so a plain
+    division gives NaN (0/0) exactly on the null events, the empty one among
+    them, and ``np.fmax`` skips those.  A null event reads 1, as in
+    _set_ratios, so the maximum starts at 1 when some prior atom is 0.  A
+    ratio past the float range is refused.  Both the subset and the function
+    oracle score these 2^n events, so the input alphabet is capped at
+    SUBSET_CAP symbols.
     """
     n = model.input_alphabet.size
     if n > SUBSET_CAP:
@@ -154,31 +153,28 @@ def _event_extremes(model: JointModel, y: Symbol) -> Tuple[float, float]:
         )
     post = _posterior(model, y).probs
     prior = model.prior.probs
-    prior_low, null = _prior_events(model.prior)
     k = min(n, BLOCK_BITS)
-    # depth d holds the block of a d-atom high subset: posterior and prior masses,
-    # and whether every one of its high atoms has prior 0
+    # depth d holds the posterior and prior masses of the block of a d-atom high subset
     posts = [_subset_sums(post[:k])] + [np.empty(1 << k) for _ in range(k, n)]
-    priors = [prior_low] + [np.empty(1 << k) for _ in range(k, n)]
-    nulls = [True] * (n - k + 1)
+    priors = [_prior_events(model.prior)] + [np.empty(1 << k) for _ in range(k, n)]
     ratios = np.empty(1 << k)
-    first = full = -math.inf
+    first = 1.0 if (prior == 0.0).any() else -math.inf
+    full = -math.inf
     stack = [(0, k - 1)]  # (depth, top atom) of each block still to score
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         while stack:
             d, top = stack.pop()
             if d:
                 np.add(posts[d - 1], post[top], out=posts[d])
                 np.add(priors[d - 1], prior[top], out=priors[d])
-                nulls[d] = nulls[d - 1] and prior[top] == 0.0
             np.divide(posts[d], priors[d], out=ratios)
-            if nulls[d]:
-                ratios[null] = 1.0
-            # mask 0, the empty event, is not scored
-            first = max(first, ratios[1:].max() if d == 0 else ratios.max())
+            # a block of null events gives NaN, which max passes over
+            first = max(first, np.fmax.reduce(ratios))
             if d == n - k:
                 full = ratios[-1]
             stack.extend((d + 1, atom) for atom in range(n - 1, top, -1))
+    if first == math.inf:
+        raise CapacityError(f"the largest event ratio at outcome {y!r} overflows a float")
     return float(first), float(full)
 
 
@@ -226,7 +222,13 @@ def build_partition_gain(model: JointModel, y: Symbol, epsilon: float) -> Partit
     ratios = _set_ratios(_posterior(model, y).probs, model.prior.probs)
     cells: Dict[float, list] = {}
     for x, f in zip(model.input_alphabet.symbols, ratios.tolist()):
-        w = -math.inf if f == 0.0 else math.floor(math.log(f) / epsilon)
+        w = -math.inf
+        if f > 0.0:
+            band = math.log(f) / epsilon
+            if not math.isfinite(band):
+                raise CapacityError(f"at outcome {y!r} the band log(ratio) / eps of input {x!r} "
+                                    "overflows a float")
+            w = math.floor(band)
         cells.setdefault(w, []).append(x)
     return PartitionGain(epsilon, {w: tuple(xs) for w, xs in cells.items()})
 
@@ -261,7 +263,10 @@ def shattering_value(
     post_w = np.bincount(codes, weights=post)
     prior_w = np.bincount(codes, weights=model.prior.probs)
     # the groups' union has a ratio of about 1, so the maximum is positive
-    return math.log(float(_set_ratios(post_w, prior_w).max()))
+    best = float(_set_ratios(post_w, prior_w).max())
+    if best == math.inf:
+        raise CapacityError(f"the largest group ratio at outcome {y!r} overflows a float")
+    return math.log(best)
 
 
 def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) -> float:

@@ -9,11 +9,13 @@ import pytest
 
 from pmlkit import (
     Alphabet,
+    ClosedFormModel,
     DiscreteChannel,
     DiscreteDistribution,
     JointModel,
     geometric_binary_model,
     leakage_profile,
+    pml_closed_form,
     tail_probability,
 )
 from pmlkit import cli
@@ -227,6 +229,42 @@ def test_verify_partition_refuses_a_cell_whose_gain_overflows(capsys, tmp_path):
         3, "", "pmlkit: capacity error: partition cell -inf has prior mass 5e-324, "
                "whose gain 1/mass overflows a float\n")
     assert run_json(capsys, "verify", str(path), "--oracle", "subset")["all_ok"]
+
+
+#: a prior atom of 5e-324 that one outcome reveals, its pml of 744.44 nats past
+#: log(DBL_MAX): that outcome comes last, and, labelled "b", first
+OVERFLOW_MODELS = {
+    "last": {"alphabet_x": [0, 1], "alphabet_y": [0, 1], "prior": [1.0, 5e-324],
+             "channel": [[1.0, 0.0], [0.0, 1.0]]},
+    "first": {"alphabet_x": [0, 1], "alphabet_y": ["b", "a"], "prior": [1.0, 5e-324],
+              "channel": [[0.0, 1.0], [1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("order, oracle, message", [
+    ("last", "subset", "the largest event ratio at outcome 1 overflows a float"),
+    ("last", "functions", "the largest event ratio at outcome 1 overflows a float"),
+    # outcome 0 comes first, and the atom's cell at it is the -inf one
+    ("last", "partition", "partition cell -inf has prior mass 5e-324, whose gain 1/mass "
+                          "overflows a float"),
+    ("first", "subset", "the largest event ratio at outcome 'b' overflows a float"),
+    ("first", "functions", "the largest event ratio at outcome 'b' overflows a float"),
+    ("first", "partition", "at outcome 'b' the band log(ratio) / eps of input 1 overflows "
+                           "a float"),
+], ids=["last-subset", "last-functions", "last-partition", "first-subset", "first-functions",
+        "first-partition"])
+def test_verify_refuses_a_ratio_past_the_float_range(capsys, tmp_path, order, oracle, message):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_MODELS[order]))
+    assert run(capsys, "verify", str(path), "--oracle", oracle) == (
+        3, "", f"pmlkit: capacity error: {message}\n")
+
+
+def test_verify_refuses_a_partition_band_past_the_float_range(capsys, fixtures_dir):
+    assert run(capsys, "verify", str(fixtures_dir / "identity4.json"), "--oracle", "partition",
+               "--eps", "5e-324") == (
+        3, "", "pmlkit: capacity error: at outcome 'a' the band log(ratio) / eps of input 'a' "
+               "overflows a float\n")
 
 
 @pytest.mark.parametrize("oracle", ["subset", "partition", "functions", "strategies"])
@@ -464,6 +502,33 @@ def test_extreme_finite_parameter_exits_one(capsys, family, name, value, message
     code, out, err = run(capsys, "continuous", "--family", spec, "--outcome", "1")
     assert (code, out) == (1, "")
     assert f"{family} parameter {name} {message}" in err
+
+
+@pytest.mark.parametrize("family, params, outcome, peak", [
+    ("additive_gaussian", {"sigma_x": 1, "sigma_n": 1}, 8.0, 8.0),
+    ("additive_gaussian", {"sigma_x": 1, "sigma_n": 1}, 20.0, 20.0),
+    *(("bivariate_gaussian", {"sigma_x": 1, "sigma_y": 1, "rho": 0.1}, y, 10.0 * y)
+      for y in (1.0, 2.0, 3.0)),
+], ids=["additive-8", "additive-20", "bivariate-1", "bivariate-2", "bivariate-3"])
+def test_grid_check_refuses_a_peak_outside_the_domain(capsys, family, params, outcome, peak):
+    # The log ratio peaks at x = y / slope, past the clipped domain's edge at
+    # 5.998: the grid's best point would be that edge, 2 to 98 nats short.
+    spec = json.dumps({"family": family, "params": params})
+    code, out, err = run(capsys, "continuous", "--family", spec, "--outcome", repr(outcome),
+                         "--check-grid")
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert doc["closed_form"] == pml_closed_form(ClosedFormModel(family, params), outcome).nats
+    assert doc["grid_check"] == {"error": (
+        f"the posterior peak at outcome y={outcome!r} lies at x={peak!r}, outside the grid's "
+        "domain [-5.9978070150076865, 5.9978070150076865] (quantile_clip=1e-09)")}
+
+
+def test_grid_check_sees_a_peak_inside_the_domain(capsys):
+    spec = '{"family": "additive_gaussian", "params": {"sigma_x": 1, "sigma_n": 1}}'
+    doc = run_json(capsys, "continuous", "--family", spec, "--outcome", "3", "--check-grid")
+    assert 0.0 <= doc["grid_check"]["gap"] <= 1e-11
+    assert doc["grid_check"]["argmax_x"] == pytest.approx(3.0, abs=1e-5)
 
 
 def test_grid_too_coarse_for_the_peak_exits_one(capsys):

@@ -226,6 +226,13 @@ def test_density_independence_gives_zero():
     assert pml_density(model, 0.7).value.nats == 0.0
 
 
+def test_grid_check_of_a_flat_ratio_gives_zero_far_out():
+    # rho = 0: the ratio is 1 everywhere, with no peak for the domain to miss
+    model = ClosedFormModel("bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 1.0, "rho": 0.0})
+    for y in (0.0, 8.0, -30.0):
+        assert continuous.grid_check(model, y).value.nats == 0.0
+
+
 def test_density_zero_marginal_rejected():
     model = DensityModel(
         x_domain=(0.0, 1.0),

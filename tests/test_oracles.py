@@ -707,20 +707,24 @@ class TestBlockedEvents:
     that share their high atoms, never a whole 2^n table; up to 13 inputs
     the one block holds every event."""
 
-    @pytest.mark.parametrize("n", [13, 14, 15, 16, 17, oracles.SUBSET_CAP])
-    @pytest.mark.parametrize("where", ["low", "high", "all_high"])
+    @pytest.mark.parametrize("where, n", [
+        (where, n) for n in (13, 14, 15, 16, 17, oracles.SUBSET_CAP)
+        for where in ("low", "high", "all_high", "all_low") if (where, n) != ("all_low", 13)])
     def test_extremes_bit_for_bit_against_the_full_table(self, n, where):
-        # zero atoms among the first 13 atoms, among the later ones, or on
+        # zero atoms among the first 13 atoms, among the later ones, on
         # every later one (with a low one too, so a block whose high atoms
-        # are all null also holds null events of its low atoms); at 13
-        # inputs the atoms from 13 on do not exist
-        zeros = {"low": [1, 4, 12], "high": [2, 13, n - 1], "all_high": [5, *range(13, n)]}
+        # are all null also holds null events of its low atoms), or on each
+        # of the first 13, so that every event of the first block is null
+        # and np.fmax sees only NaN there; at 13 inputs the atoms from 13 on
+        # do not exist, and some atom must carry the prior
+        zeros = {"low": [1, 4, 12], "high": [2, 13, n - 1], "all_high": [5, *range(13, n)],
+                 "all_low": range(13)}
         model = _with_zero_atoms(193 + n, n, [z for z in zeros[where] if z < n])
         for y in _outcomes(model):
             first, full = _full_table_extremes(model, y)
             assert oracles._event_extremes(model, y) == (first, full)
             # the prior's memo holds one block, never a table of 2^n masses
-            assert oracles._prior_events(model.prior)[0].size == 1 << min(n, oracles.BLOCK_BITS)
+            assert oracles._prior_events(model.prior).size == 1 << min(n, oracles.BLOCK_BITS)
             assert subset_oracle(model, y) == math.log(first)
             for k in (2, n + 1):
                 assert randomized_function_oracle(model, y, k) == math.log(max(1.0, first))
@@ -729,7 +733,7 @@ class TestBlockedEvents:
     def test_the_cap_holds_blocks_not_tables(self):
         model = random_full_support_model(np.random.default_rng(199), oracles.SUBSET_CAP, 2)
         subset_oracle(model, "y0")  # fills the prior's memo
-        assert oracles._prior_events(model.prior)[0].size == 1 << oracles.BLOCK_BITS
+        assert oracles._prior_events(model.prior).size == 1 << oracles.BLOCK_BITS
         tracemalloc.start()
         try:
             subset_oracle(model, "y1")
@@ -853,6 +857,26 @@ def test_event_oracles_share_one_cap():
         with pytest.raises(CapacityError) as exc:
             route()
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("oracle, message", [
+    (subset_oracle, "the largest event ratio at outcome 1 overflows a float"),
+    (lambda model, y: randomized_function_oracle(model, y, 2),
+     "the largest event ratio at outcome 1 overflows a float"),
+    (lambda model, y: shattering_value(model, y, {0: 0, 1: 1}),
+     "the largest group ratio at outcome 1 overflows a float"),
+    (lambda model, y: build_partition_gain(model, y, 0.05),
+     "at outcome 1 the band log(ratio) / eps of input 1 overflows a float"),
+], ids=["subset", "functions", "shattering", "partition_gain"])
+def test_ratios_past_the_float_range_are_refused(oracle, message):
+    # Outcome 1 reveals the prior atom of 5e-324: its pml of 744.44 nats lies past
+    # log(DBL_MAX), so the atom's ratio, and every event's holding it, is +inf.
+    a = Alphabet([0, 1])
+    model = JointModel(DiscreteDistribution(a, [1.0, 5e-324]), identity_channel(a))
+    assert pml(model, 1).nats == pytest.approx(744.44, abs=0.01)
+    with pytest.raises(CapacityError) as exc:
+        oracle(model, 1)
+    assert str(exc.value) == message
 
 
 def _gain(model):
