@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import math
 import random
-import re
 import sys
 from itertools import zip_longest
 from typing import Optional
@@ -313,8 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: argparse reads a token that matches this as a value, not as an option
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+def _negative_number(raw: str) -> bool:
+    """Whether argparse reads ``raw``, which starts with "-", as a value, not
+    as an option: whether ``re.match(r"^-\\d+$|^-\\d*\\.\\d+$", raw)``, decided
+    without compiling that pattern.  For a str pattern ``\\d`` is
+    ``str.isdecimal``, and ``$`` also matches before one final newline."""
+    body = raw[1:-1] if raw.endswith("\n") else raw[1:]
+    whole, dot, fraction = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return fraction.isdecimal() and (not whole or whole.isdecimal())
 
 
 def _parse(argv) -> argparse.Namespace:
@@ -359,7 +366,7 @@ def _read(argv) -> Optional[argparse.Namespace]:
             values[option["dest"]] = True
             continue
         raw = next(tokens, None)
-        if raw is None or (raw.startswith("-") and not re.match(_NEGATIVE_NUMBER, raw)):
+        if raw is None or (raw.startswith("-") and not _negative_number(raw)):
             return None
         try:
             value = option["type"](raw) if "type" in option else raw

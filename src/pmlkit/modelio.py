@@ -53,8 +53,9 @@ _space = json.decoder.WHITESPACE.match
 _NOT_NUMBERS = ("t", "f", "n", '"', "{", "[")
 
 
+#: json's C encoder, which writes every leaf but NaN as json.dumps(indent=2) does
 _encode = json.JSONEncoder(allow_nan=False).encode
-#: json's indented encoder, which writes a scalar (or refuses NaN) as json.dumps(indent=2) does
+#: json's indented encoder, which refuses NaN with json.dumps(indent=2)'s message
 _scalar = json.JSONEncoder(indent=2, allow_nan=False).encode
 _str = json.encoder.encode_basestring_ascii
 #: a CSV cell holding one of these is quoted (RFC 4180)
@@ -79,8 +80,10 @@ def _text(value, newline: str) -> str:
             items = [_encode(value)[1:-1].replace(", ", "," + inner)]
         else:
             items = map(_str, value) if kinds == {str} else [_text(v, inner) for v in value]
-    elif not isinstance(value, float) or math.isnan(value):  # _scalar refuses NaN
-        return _scalar(value)
+    elif not isinstance(value, float):
+        return _encode(value)
+    elif math.isnan(value):
+        return _scalar(value)  # raises
     else:
         return float.__repr__(value) if math.isfinite(value) else f'"{value}"'  # "inf", "-inf"
     brackets = "{}" if isinstance(value, dict) else "[]"

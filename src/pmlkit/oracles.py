@@ -90,7 +90,8 @@ def gain_ratio(model: JointModel, y: Symbol, g: GainFunction) -> float:
     Randomized estimate strategies cannot beat the best pure estimate
     (they are mixtures), so both optima are maxima over columns of the
     gain table.  A zero prior optimum with positive posterior optimum
-    yields +infinity.
+    yields +infinity; a ratio of positive optima past the float range is a
+    ``CapacityError``.
     """
     if g.x_alphabet.symbols != model.input_alphabet.symbols:
         raise AlphabetMismatchError("gain function secret alphabet does not match model")
@@ -98,7 +99,10 @@ def gain_ratio(model: JointModel, y: Symbol, g: GainFunction) -> float:
     den = float(np.max(g.expected_gain(model.prior.probs)))
     if den == 0.0:
         return math.inf if num > 0.0 else 1.0
-    return num / den
+    ratio = num / den
+    if ratio == math.inf:
+        raise CapacityError(f"the gain ratio at outcome {y!r} overflows a float")
+    return ratio
 
 
 def _set_ratios(post_sums: np.ndarray, prior_sums: np.ndarray) -> np.ndarray:

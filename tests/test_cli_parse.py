@@ -171,14 +171,16 @@ def test_module_entry_point_reads_sys_argv():
 #: values by option type: ones the table reader takes (negative numbers among
 #: them) and ones it leaves to argparse (exponents with a sign, "-" and flags)
 GOOD_VALUES = {
-    int: ["3", "0", "-3", "07", " 7"],
-    float: ["0.5", "-1", "-1.5", "-.5", "1e3", "1_0", "inf", "nan"],
+    int: ["3", "0", "-3", "07", " 7", "-\u0663", "-1\n"],
+    float: ["0.5", "-1", "-1.5", "-.5", "1e3", "1_0", "inf", "nan", "-\u0663", "-1\n"],
     None: ["r.json", "{}", "-1", "", "a b"],
 }
+#: negative-number look-alikes that argparse reads as options
+LOOK_ALIKES = ["-5.", "-.5.5", "-1.2.3", "-1\n\n"]
 BAD_VALUES = {
-    int: ["1e3", "x", "-1.5"],
-    float: ["-1e3", "x", "-x", "-inf"],
-    None: ["-x", "-", "--units", "-1e3"],
+    int: ["1e3", "x", "-1.5", *LOOK_ALIKES],
+    float: ["-1e3", "x", "-x", "-inf", *LOOK_ALIKES],
+    None: ["-x", "-", "--units", "-1e3", *LOOK_ALIKES],
 }
 GOOD_POSITIONALS = ["m.json", "p.csv", "compute", "", "a b"]
 BAD_POSITIONALS = ["-1", "-", "q.csv"]
@@ -249,6 +251,19 @@ def _outcome(parse, argv):
     except SystemExit as stop:
         return "exit", stop.code, out.getvalue(), err.getvalue()
     return "namespace", _fields(namespace)
+
+
+@pytest.mark.parametrize("value", ["-3", "-.5", "-\u0663", "-1\n", *LOOK_ALIKES])
+@pytest.mark.parametrize("argv", [["tail", "m.json", "--eps"],
+                                  ["verify", "m.json", "--oracle", "functions", "--max-groups"]],
+                         ids=["float", "int"])
+def test_a_value_starting_with_a_dash_is_read_as_the_full_parser_reads_it(argv, value):
+    read = cli._read(argv + [value])
+    full = _outcome(build_parser().parse_args, argv + [value])
+    if read is None:  # argparse reads the value as an option, or refuses its type
+        assert full[0] == "exit"
+    else:
+        assert full == ("namespace", _fields(read))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -867,7 +867,10 @@ def test_event_oracles_share_one_cap():
      "the largest group ratio at outcome 1 overflows a float"),
     (lambda model, y: build_partition_gain(model, y, 0.05),
      "at outcome 1 the band log(ratio) / eps of input 1 overflows a float"),
-], ids=["subset", "functions", "shattering", "partition_gain"])
+    (lambda model, y: gain_ratio(model, y, GainFunction(model.input_alphabet, Alphabet([0]),
+                                                        np.array([[0.0], [1.0]]))),
+     "the gain ratio at outcome 1 overflows a float"),
+], ids=["subset", "functions", "shattering", "partition_gain", "gain_ratio"])
 def test_ratios_past_the_float_range_are_refused(oracle, message):
     # Outcome 1 reveals the prior atom of 5e-324: its pml of 744.44 nats lies past
     # log(DBL_MAX), so the atom's ratio, and every event's holding it, is +inf.

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmlkit import cli
+from pmlkit import cli, modelio
+from conftest import FIXTURES
 
 
 def jsonable(value):
@@ -36,7 +37,7 @@ def outcome(write, doc):
     """What ``write(doc)`` gives: ("text", text) or ("error", type, message)."""
     try:
         return ("text", write(doc))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         return ("error", type(exc), str(exc))
 
 
@@ -60,7 +61,10 @@ def _float_lists(nan: bool):
 
 
 def documents(nan: bool = False):
+    """Documents of JSON leaves; with ``nan``, also NaN and leaves json refuses by type."""
     leaves = _scalars(nan) | _float_lists(nan) | st.lists(st.integers() | st.floats(allow_nan=nan))
+    if nan:
+        leaves |= st.sampled_from((np.int64(3), np.bool_(True), object()))
     keys = st.text() | st.sampled_from(SPECIAL_TEXTS)
     return st.recursive(leaves, lambda children: (
         st.lists(children, max_size=5)
@@ -116,6 +120,16 @@ def test_nan_at_any_depth_raises_the_reference_error(doc):
 )
 def test_writer_examples(doc, text):
     assert cli._json(doc) == text == reference(doc)
+
+
+@pytest.mark.parametrize("argv", [["verify", "identity4.json", "--oracle", "subset"],
+                                  ["compute", "identity4.json"]], ids=lambda argv: argv[0])
+def test_reports_reach_the_indented_encoder_only_for_nan(monkeypatch, capsys, argv):
+    def refuse(value):
+        raise AssertionError(f"_scalar({value!r})")
+
+    monkeypatch.setattr(modelio, "_scalar", refuse)
+    assert cli.main([str(FIXTURES / a) if a.endswith(".json") else a for a in argv]) == 0
 
 
 def test_jsonable_spells_infinity():

@@ -1,15 +1,16 @@
-"""Every request ``scripts/compare_cli.py`` replays keeps its bytes.
+"""Every request in ``scripts/make_fixtures.py``'s table keeps its bytes.
 
 ``fixtures/golden/requests.json`` is a golden written by
 ``scripts/make_fixtures.py`` from fresh interpreters: the sha256 of every
-input ``compare_cli`` writes, and each request's exit code and the length
-and sha256 of its stdout and stderr.  Here the inputs are written again and
+input the table writes, and each request's exit code and the length and
+sha256 of its stdout and stderr.  Here the inputs are written again and
 their hashes checked once, so a change in what numpy draws shows as one
 failure, not hundreds.  Then every request runs in this process through
 ``cli.main``, from the inputs' directory, with argparse's ``SystemExit``
-caught and help texts wrapped at 80 columns, as in the recording.  Help and
-usage texts are argparse's, so they hold for the Python that wrote the
-manifest.
+caught and help texts wrapped at 80 columns, as in the recording.  A
+failure names each moved argv, which of its exit code, stdout and stderr
+moved, and its exit code before and after.  Help and usage texts are
+argparse's, so they hold for the Python that wrote the manifest.
 """
 
 import contextlib
@@ -27,8 +28,19 @@ def _replay(argv):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return {"argv": argv, "exit": code, "stdout": make_fixtures.digest(out.getvalue().encode()),
+    return {"exit": code, "stdout": make_fixtures.digest(out.getvalue().encode()),
             "stderr": make_fixtures.digest(err.getvalue().encode())}
+
+
+def _moved(entry):
+    """A line naming what of ``entry``'s request moved, or None."""
+    got = _replay(entry["argv"])
+    moved = [what for what, key in (("exit code", "exit"), ("stdout", "stdout"),
+                                    ("stderr", "stderr")) if got[key] != entry[key]]
+    if moved:
+        return (f"{' '.join(entry['argv'])}: {', '.join(moved)} differ "
+                f"(exit {entry['exit']} -> {got['exit']})")
+    return None
 
 
 def test_every_replayed_request_keeps_its_bytes(tmp_path, monkeypatch):
@@ -39,6 +51,5 @@ def test_every_replayed_request_keeps_its_bytes(tmp_path, monkeypatch):
     assert argvs == [entry["argv"] for entry in manifest["requests"]]
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
-    differ = [" ".join(entry["argv"]) for entry in manifest["requests"]
-              if _replay(entry["argv"]) != entry]
+    differ = [line for line in map(_moved, manifest["requests"]) if line]
     assert not differ, f"{len(differ)} of {len(argvs)} requests differ:\n" + "\n".join(differ)
