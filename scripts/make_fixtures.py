@@ -12,9 +12,10 @@ with the committed files byte for byte.  ``golden/requests.json`` is the
 manifest of the request table below: the sha256 of each input
 ``write_inputs`` writes, and each argv with its exit code and the length
 and sha256 of its stdout and stderr, as a fresh interpreter gave them.
-``tests/test_requests.py`` replays every argv in process and names each
-one whose bytes moved.  A new request goes into the table, and then into
-the manifest by running this script.
+It also records ``facts()``, what those bytes still depend on beyond the
+code.  ``tests/test_requests.py`` replays every argv in process and names
+each one whose bytes moved.  A new request goes into the table, and then
+into the manifest by running this script.
 
 Every request runs from one directory holding its inputs. The inputs are the
 model and family fixtures plus seeded Dirichlet models (the shapes the
@@ -60,7 +61,9 @@ argparse exits: help, ``--version`` and usage errors, whose exit code 2 and
 stderr are recorded.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import shutil
@@ -187,6 +190,34 @@ def fixture_texts():
 def digest(data):
     """A request's stdout or stderr as its length and sha256."""
     return [len(data), hashlib.sha256(data).hexdigest()]
+
+
+def facts():
+    """What the recorded bytes depend on beyond the code: the Python minor
+    version, whose argparse writes the help and usage texts, and the CPU
+    target numpy dispatches its float64 ``exp``, ``log`` and ``log1p`` loops
+    to, through which grid checks, ``maximal_leakage`` and the leakage
+    kernel pass."""
+    from numpy.lib.introspect import opt_func_info
+
+    loops = opt_func_info(func_name="^(exp|log|log1p)$", signature="float64")
+    return {"python": "%d.%d" % sys.version_info[:2],
+            "numpy_loops": {name: sigs["dd"]["current"] for name, sigs in sorted(loops.items())}}
+
+
+def replay(argv):
+    """A request run in this process through ``cli.main``, as a manifest
+    entry records it; argparse's ``SystemExit`` is caught."""
+    from pmlkit import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": digest(out.getvalue().encode()),
+            "stderr": digest(err.getvalue().encode())}
 
 
 # the request table: its inputs, and the options each kind of request runs with
@@ -447,24 +478,27 @@ def write_request_inputs(directory):
     return hashes, argvs
 
 
+#: the environment of every recording interpreter
+ENV = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(ROOT / "src"), "PYTHONUTF8": "1",
+       "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
+
+
 def _record(argv, directory):
     """One request's manifest entry, from a fresh interpreter run in ``directory``."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "pmlkit.cli"] + argv, capture_output=True, cwd=directory,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(ROOT / "src"), "PYTHONUTF8": "1",
-             "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"},
-    )
+    proc = subprocess.run([sys.executable, "-m", "pmlkit.cli"] + argv, capture_output=True,
+                          cwd=directory, env=ENV)
     if str(directory).encode() in proc.stdout + proc.stderr:
         raise SystemExit(f"request {argv} prints its input directory")
     return {"argv": argv, "exit": proc.returncode, "stdout": digest(proc.stdout),
             "stderr": digest(proc.stderr)}
 
 
-def _manifest_text(hashes, entries):
-    """The manifest as JSON, one input and one request per line."""
+def _manifest_text(recorded, hashes, entries):
+    """The manifest as JSON: its facts, then one input and one request per line."""
     inputs = ",\n".join(f"  {json.dumps(name)}: {json.dumps(sha)}" for name, sha in hashes.items())
     rows = ",\n".join(f"  {json.dumps(entry, sort_keys=True)}" for entry in entries)
-    return f'{{\n"inputs": {{\n{inputs}\n}},\n"requests": [\n{rows}\n]\n}}\n'
+    return (f'{{\n"facts": {json.dumps(recorded, sort_keys=True)},\n'
+            f'"inputs": {{\n{inputs}\n}},\n"requests": [\n{rows}\n]\n}}\n')
 
 
 def write(path, text):
@@ -493,7 +527,11 @@ def main():
         hashes, argvs = write_request_inputs(directory)
         with ThreadPoolExecutor(2) as pool:
             entries = list(pool.map(lambda argv: _record(argv, directory), argvs))
-    write(MANIFEST, _manifest_text(hashes, entries))
+    # the facts of an interpreter like the recording ones, not of this one's environment
+    recorded = subprocess.run(
+        [sys.executable, "-c", "import json, make_fixtures; print(json.dumps(make_fixtures.facts()))"],
+        capture_output=True, text=True, check=True, cwd=ROOT / "scripts", env=ENV).stdout
+    write(MANIFEST, _manifest_text(json.loads(recorded), hashes, entries))
 
 
 if __name__ == "__main__":

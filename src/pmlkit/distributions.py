@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from typing import Sequence, Union
 
 import numpy as np
@@ -214,24 +213,20 @@ def marginal(
     the prior's deficit up to floating rounding.  Prior and row deficits
     add up, so P_Y can drop more than ``MAX_DEFICIT`` and is then refused.
 
-    The matrix product may fuse and reorder its roundings.  Below
-    ``tiny * |X|`` that can leave P_Y(y) a whole subnormal away from the
-    sum of the rounded products ``P_X(x) P_{Y|X=x}(y)``, which ``posterior``
-    and the leakage kernel divide by it, and the posterior then fails its
-    law check.  Those entries are recomputed as the sum of the rounded
-    products, so each posterior sums to 1.  The products themselves round
-    to subnormals, each within u = 2^-1075 of its exact value, so each
-    posterior entry of such an outcome is only within about
-    2 |X| u / P_Y(y) of the exact one, and its leakage reads accordingly:
-    with prior [0.5, 0.5, 0] and P_{Y|X}(y) = [19, 10, 15] * 5e-324 the
-    products round to 10 and 5 subnormals, and pml gives log(4/3) =
-    0.28768 nats where the exact value is log(38/29) = 0.27029.
+    Each P_Y(y) adds the rounded products ``P_X(x) P_{Y|X=x}(y)`` one input at
+    a time, in index order, so its bits depend neither on the CPU nor on where
+    its column sits.  Rounding is monotone, so P_Y(y) is at least every product
+    it adds, and no posterior entry that ``posterior`` or the leakage kernel
+    divides by it exceeds 1.  Products below ``tiny`` round to multiples of
+    2^-1074, so an outcome with a subnormal P_Y(y) has posterior entries only
+    within about 2 |X| 2^-1075 / P_Y(y) of the exact ones.
     """
     if prior.alphabet.symbols != channel.input_alphabet.symbols:
         raise AlphabetMismatchError("prior alphabet does not match channel input alphabet")
-    probs = prior.probs @ channel.matrix
-    small = np.flatnonzero(probs < sys.float_info.min * prior.alphabet.size)
-    probs[small] = (prior.probs[:, None] * channel.matrix[:, small]).sum(axis=0)
+    probs = np.zeros(channel.output_alphabet.size)
+    term = np.empty_like(probs)
+    for w, row in zip(prior.probs.tolist(), channel.matrix):
+        probs += np.multiply(row, w, out=term)
     deficit = max(0.0, 1.0 - float(probs.sum()))
     if deficit > MAX_DEFICIT:
         raise ValidationError(
@@ -271,8 +266,8 @@ def posterior(model: JointModel, y: Symbol) -> DiscreteDistribution:
     p_y = float(model.marginal.probs[j])
     if p_y <= 0.0:
         return model.prior
-    # Rounding is monotone, so P_Y(y) = fl(prior @ W[:, j]) is at least every
-    # rounded product fl(prior[i] * W[i, j]): no entry exceeds 1, none overflows.
+    # P_Y(y) sums the rounded products fl(prior[i] * W[i, j]) and rounding is
+    # monotone, so it is at least each of them: no entry exceeds 1, none overflows.
     probs = model.prior.probs * model.channel.matrix[:, j] / p_y
     deficit = max(0.0, 1.0 - float(probs.sum()))
     return DiscreteDistribution(model.input_alphabet, probs, deficit)

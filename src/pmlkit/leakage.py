@@ -203,8 +203,8 @@ def mean_leakage(profile: LeakageProfile) -> LeakageValue:
     weights = profile.weights.probs
     nats = profile.nats_array()
     mask = weights > 0
-    # positive weights times leakages >= 0: the sum is >= +0.0
-    return LeakageValue(float(np.dot(weights[mask], nats[mask])))
+    # positive weights times leakages >= 0: the sum is >= +0.0, in numpy's fixed order
+    return LeakageValue(float(np.sum(weights[mask] * nats[mask])))
 
 
 def leakage_law(profile: LeakageProfile, eps_values, units: str = "nats") -> tuple:

@@ -67,8 +67,9 @@ class GainFunction:
             raise ValidationError("gains must be finite and >= 0")
 
     def expected_gain(self, probs: np.ndarray) -> np.ndarray:
-        """Expected gain of each pure estimate under the given law on X."""
-        return probs @ self.gains
+        """Expected gain of each pure estimate under the given law on X, summed
+        in numpy's fixed order rather than by a CPU-dependent BLAS kernel."""
+        return (probs[:, None] * self.gains).sum(axis=0)
 
 
 @lru_cache(maxsize=1)

@@ -199,37 +199,50 @@ def argvs(draw):
     count and each option zero to two times (required ones at least once)
     with values the option takes, in any order.  Each kind of noise drawn
     from ``NOISE`` spoils it one way: options abbreviated or joined to their
-    value by "=", bad values or choices, bad or too many positionals,
+    value by "=", one bad value or choice, bad or too many positionals,
     positionals split by options, required options omitted, stray tokens,
-    a dropped token.
+    a dropped token.  A quarter of the argv carry one bad value alone and a
+    quarter one kind drawn from ``NOISE``, so that a bad value often stands
+    in an otherwise clean argv, which the table reader must judge alone; the
+    rest carry any set of kinds.
     """
     name = draw(st.sampled_from(sorted(COMMANDS)))
     _, _, arguments = COMMANDS[name]
     options = [(flag, keywords) for flag, keywords in arguments if flag.startswith("-")]
     named = [keywords for flag, keywords in arguments if not flag.startswith("-")]
-    noise = draw(st.sets(st.sampled_from(NOISE)))
+    alone = draw(st.integers(0, 3))
+    if alone < 2:
+        noise = {"bad values" if alone == 0 else draw(st.sampled_from(NOISE))}
+    else:
+        noise = draw(st.sets(st.sampled_from(NOISE)))
     positionals = GOOD_POSITIONALS + BAD_POSITIONALS * ("bad positionals" in noise)
     least = sum("nargs" not in keywords for keywords in named)
     least, most = (0, least + 2) if "bad positionals" in noise else (least, len(named))
     run = draw(st.lists(st.sampled_from(positionals), min_size=least, max_size=most))
     pieces = [[token] for token in run] if "split" in noise else [run]
+    given = []
     for flag, keywords in options:
         required = keywords.get("required", False) and "omit" not in noise
         for _ in range(draw(st.integers(int(required), 2))):
             spelled = flag
             if "abbreviate" in noise and draw(st.booleans()):
                 spelled = flag[:draw(st.integers(3, len(flag)))]
-            if keywords.get("action") == "store_true":
-                pieces.append([spelled])
-                continue
+            given.append((spelled, keywords))
+    valued = [i for i, (_, keywords) in enumerate(given) if keywords.get("action") != "store_true"]
+    spoiled = draw(st.sampled_from(valued)) if "bad values" in noise and valued else None
+    for i, (spelled, keywords) in enumerate(given):
+        if i not in valued:
+            pieces.append([spelled])
+            continue
+        if i == spoiled:
+            values = ["furlongs"] + BAD_VALUES[keywords.get("type")]
+        else:
             values = list(keywords.get("choices") or GOOD_VALUES[keywords.get("type")])
-            if "bad values" in noise:
-                values += ["furlongs"] + BAD_VALUES[keywords.get("type")]
-            value = draw(st.sampled_from(values))
-            if "equals" in noise and draw(st.booleans()):
-                pieces.append([f"{spelled}={value}"])
-            else:
-                pieces.append([spelled, value])
+        value = draw(st.sampled_from(values))
+        if "equals" in noise and draw(st.booleans()):
+            pieces.append([f"{spelled}={value}"])
+        else:
+            pieces.append([spelled, value])
     if "strays" in noise:
         pieces += [[token] for token in draw(st.lists(st.sampled_from(STRAYS), max_size=2))]
     argv = [token for piece in draw(st.permutations(pieces)) for token in piece]

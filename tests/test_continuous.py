@@ -204,6 +204,69 @@ def test_grid_matches_additive_closed_form(family, params):
         assert result.grid == GridSpec()
 
 
+def _error_bound(model, grid):
+    """B (h / (2 refine))^2 with B = slope^2 / (2 cond^2) and h the scanned grid's step."""
+    _, slope, cond, _ = continuous._FAMILIES[model.family].shape(model.params)
+    lo, hi = to_density_model(model, grid.quantile_clip).x_domain
+    h = (hi - lo) / (grid.points - 1)
+    return slope ** 2 / (2.0 * cond ** 2) * (h / (2.0 * grid.refine)) ** 2
+
+
+@pytest.mark.parametrize("family", ["additive_gaussian", "bivariate_gaussian"])
+def test_grid_check_is_within_its_own_error_bound(family):
+    """0 <= closed - grid <= B (h / (2 refine))^2 (1 + 32 u refine points)
+    + 64 u max(1, |closed|), u = 2^-53.
+
+    The log ratio is A - B (x - c)^2 with A the closed form and c = y / slope.
+    The coarse argmax is the grid point nearest c, so c lies in the refined
+    interval, whose points are h / refine apart: the best one lies within
+    h / (2 refine) of c.  The rounding of the grid points and of y - slope x
+    moves that distance by a few u times the domain's half-width, which is
+    (points - 1) h / 2: the bound grows by a factor below 1 + 32 u refine
+    points (1 + 1.1e-9 here).  The allowance, counted to first order with numpy's
+    exp and log and math's log and log1p each within 1 ulp (2u relative):
+    the two densities' exps and divisions and their quotient, 9u; the
+    rounded s_y or cond the grid's densities use, 2u plus 4u y^2 / (2 s_y^2);
+    the marginal's exponent y^2 / (2 s_y^2), within 3u of itself; the log of
+    the best ratio, 2u |closed|; and the closed form itself, 3u plus
+    8u |closed|.  With y^2 / (2 s_y^2) <= |closed| that is at most
+    31 u max(1, |closed|), doubled for the second-order terms.
+
+    Scales are drawn from 1e-3 to 1e3, y ~ N(0, s_y^2), points from {1024,
+    4096, 16384} and refine from 1 to 19; the checks that ``grid_check``
+    refuses (the peak outside the domain, or narrower than the grid) are
+    counted and skipped.  At the default grid the bound is (sigma_x /
+    sigma_n)^2 * 2.6e-10 for the additive family and rho^2 / (1 - rho^2) *
+    2.6e-10 for the bivariate one, so acceptance criterion 5's 1e-4 can hold
+    only up to sigma_x / sigma_n of about 618, or |rho| of about 1 - 1.3e-6;
+    its models lie far inside, with bounds below 5e-9.
+    """
+    u = 2.0 ** -53
+    rng = np.random.default_rng(3 if family == "additive_gaussian" else 4)
+    checked = 0
+    for _ in range(200):
+        first, second = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        params = ({"sigma_x": first, "sigma_n": second} if family == "additive_gaussian"
+                  else {"sigma_x": first, "sigma_y": second, "rho": rng.uniform(-1.0, 1.0)})
+        model = ClosedFormModel(family, params)
+        y = float(rng.normal(0.0, continuous._FAMILIES[family].shape(model.params)[3]))
+        grid = GridSpec(points=int(rng.choice([1024, 4096, 16384])),
+                        refine=int(rng.integers(1, 20)))
+        try:
+            got = continuous.grid_check(model, y, grid).value.nats
+        except (CapabilityError, ValidationError):
+            continue
+        checked += 1
+        closed = pml_closed_form(model, y).nats
+        allowance = 64 * u * max(1.0, abs(closed))
+        bound = _error_bound(model, grid) * (1.0 + 32 * u * grid.refine * grid.points)
+        assert -allowance <= closed - got <= bound + allowance
+    assert checked >= 100  # measured: 121 additive and 182 bivariate checks of 200
+    default = [_error_bound(ClosedFormModel("additive_gaussian", {"sigma_x": r, "sigma_n": 1.0}),
+                            GridSpec()) for r in (618.0, 619.0)]
+    assert default[0] <= 1e-4 < default[1]
+
+
 def test_grid_numeric_marginal_fallback():
     m = ClosedFormModel("additive_gaussian", {"sigma_x": 1.0, "sigma_n": 1.0})
     with_analytic = to_density_model(m)

@@ -77,11 +77,35 @@ def test_pml_identity_uniform():
 
 
 def test_pml_constant_channel_is_zero():
+    """A constant channel reveals nothing, but its pml is 0 only for exact inputs.
+
+    With the uniform prior on 3 atoms, fl(1/3) sums to 1 - 2^-54, and the exact
+    pml of the float inputs is log max_x W[x, y] / P_Y(y) = -log(3 fl(1/3))
+    = -log1p(-2^-54), about 5.55e-17 nats, computed here with Fractions.  The
+    kernel's value lies within (|X| + 7) u of it, u = 2^-53: each of the |X|
+    products in P_Y(y) takes at most |X| roundings (its product and the
+    sequential sums), and the posterior's own product and division two more,
+    so the ratio is within a factor (1 +- u)^(|X| + 2) of exact; numpy holds
+    its float64 log to 1 ulp, 2u near log(1/3), so each of the two logs adds
+    2u, and their difference is exact; the clamp at 0 moves only toward the
+    exact value, which is >= 0; 1 more u covers the second-order terms.  With
+    the prior [0.25, 0.25, 0.5] every product and sum is exact, so both
+    outcomes read exactly 0.0 on any CPU.
+    """
     a = Alphabet(list(range(3)))
     row = dist([0.1, 0.9])
     model = JointModel(uniform(a), constant_channel(a, row))
-    assert pml(model, 0).nats == 0.0
-    assert pml(model, 1).nats == 0.0
+    prior = [Fraction(p) for p in model.prior.probs.tolist()]
+    bound = (a.size + 7) * 2.0 ** -53
+    for y in range(2):
+        column = [Fraction(w) for w in model.channel.matrix[:, y].tolist()]
+        p_y = sum(p * w for p, w in zip(prior, column))
+        exact = math.log1p(max(column) / p_y - 1)
+        assert exact == -math.log1p(-2.0 ** -54)
+        assert abs(pml(model, y).nats - exact) <= bound
+    dyadic = JointModel(DiscreteDistribution(a, [0.25, 0.25, 0.5]), constant_channel(a, row))
+    assert pml(dyadic, 0).nats == 0.0
+    assert pml(dyadic, 1).nats == 0.0
 
 
 def test_pml_geometric_binary_exact_values():
@@ -90,6 +114,22 @@ def test_pml_geometric_binary_exact_values():
     top = 1 - q + p * q
     assert pml(model, 0).nats == pytest.approx(math.log(top / p), abs=1e-8)
     assert pml(model, 1).nats == pytest.approx(math.log(top / (1 - q)), abs=1e-8)
+
+
+def test_outcome_values_do_not_depend_on_where_its_column_sits():
+    """P_Y(y) adds its products in input order whatever column y is, so
+    permuting the channel's columns and the output alphabet permutes the
+    ``p_y`` and ``pml`` of the outcomes bit for bit."""
+    rng = np.random.default_rng(2304)
+    for _ in range(300):
+        model = random_full_support_model(rng, int(rng.integers(2, 40)), int(rng.integers(2, 300)))
+        perm = rng.permutation(model.output_alphabet.size)
+        permuted = JointModel(model.prior, DiscreteChannel(
+            model.input_alphabet, Alphabet([model.output_alphabet.symbols[j] for j in perm]),
+            model.channel.matrix[:, perm]))
+        assert np.array_equal(permuted.marginal.probs, model.marginal.probs[perm])
+        assert np.array_equal(leakage_profile(permuted).nats_array(),
+                              leakage_profile(model).nats_array()[perm])
 
 
 def test_pml_equals_likelihood_ratio_form():
@@ -443,9 +483,9 @@ def _subnormal_column_model(rng):
 
 
 def test_bayes_division_never_overflows_on_subnormal_outcomes():
-    # P_Y(y) = fl(prior @ W[:, j]) is at least every rounded product
-    # fl(prior[i] * W[i, j]), so no posterior entry exceeds 1; under the
-    # suite's filterwarnings = error an overflow here would raise.
+    # P_Y(y) adds the rounded products fl(prior[i] * W[i, j]) in index order,
+    # so it is at least each of them and no posterior entry exceeds 1; under
+    # the suite's filterwarnings = error an overflow here would raise.
     rng = np.random.default_rng(173)
     for _ in range(2000):
         model = _subnormal_column_model(rng)
@@ -458,9 +498,9 @@ def test_bayes_division_never_overflows_on_subnormal_outcomes():
 
 
 def test_subnormal_outcome_posterior_is_a_law():
-    # The matrix product may round P_Y(0) to 14 subnormals while the products
-    # the posterior divides round to 10 and 5, so the posterior summed to
-    # 15/14; P_Y of such an outcome is now the sum of those products.
+    # The products the posterior divides round to 10 and 5 subnormals, and
+    # P_Y(0) is their sum, 15; a sum that fused or reordered its roundings
+    # could read 14, and the posterior would sum to 15/14.
     unit = 5e-324
     a = Alphabet(["x0", "x1", "x2"])
     matrix = np.array([[19 * unit, 0.5, 0.25, 0.25],
