@@ -65,6 +65,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -478,9 +479,12 @@ def write_request_inputs(directory):
     return hashes, argvs
 
 
+#: a cache root under which no directory can be made, so a recording interpreter parses every
+#: model and writes no model cache, in the home directory or elsewhere
+NO_CACHE = os.devnull
 #: the environment of every recording interpreter
 ENV = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(ROOT / "src"), "PYTHONUTF8": "1",
-       "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
+       "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80", "XDG_CACHE_HOME": NO_CACHE}
 
 
 def _record(argv, directory):
@@ -516,7 +520,8 @@ def main():
         proc = subprocess.run(
             [sys.executable, "-m", "pmlkit.cli"] + golden_argv(name),
             capture_output=True, text=True, cwd=ROOT,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(ROOT / "src")},
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(ROOT / "src"),
+                 "XDG_CACHE_HOME": NO_CACHE},
         )
         if proc.returncode != 0:
             raise SystemExit(f"golden {name} failed: {proc.stderr}")

@@ -47,6 +47,7 @@ from .oracles import (
     GainFunction,
     check_epsilon,
     gain_ratio,
+    make_atom_gain,
     partition_oracle,
     randomized_function_oracle,
     randomized_strategy_check,
@@ -120,6 +121,10 @@ def cmd_verify(args) -> tuple:
     if args.oracle == "strategies":  # only this oracle draws; --seed seeds its gains
         rng = random.Random(args.seed)
         gains = [_random_gain(rng, model) for _ in range(args.gains)]
+        atoms = make_atom_gain(model)
+
+    def strategies_oracle(y, value) -> float:
+        return max(math.log(gain_ratio(model, y, g)) for g in (atoms, *gains))
 
     def strategies_hold(y, value) -> bool:
         checks = [randomized_strategy_check(model, y, g, args.resolution) for g in gains]
@@ -127,17 +132,18 @@ def cmd_verify(args) -> tuple:
         return all(checks) and all(bounded)
 
     # oracle -> (its value at y, where the pipeline reads value; the band value - oracle must lie
-    # in; a pass/fail check, or None: the strategy checks report the leakage itself and a 0.0
-    # gap).  From two groups on, the functions oracle scores every event, as subset does (the
-    # binary-function reduction); one group on two or more inputs scores the full event alone,
-    # a lower bound, so its band is open above.
+    # in; a further pass/fail check on the drawn gains, or None).  From two groups on, the
+    # functions oracle scores every event, as subset does (the binary-function reduction); one
+    # group on two or more inputs scores the full event alone, a lower bound, so its band is
+    # open above.  The strategies oracle's atom gain attains the leakage, so its band is
+    # subset's.
     oracle_at, low, high, holds = {
         "subset": (lambda y, value: subset_oracle(model, y), -GAP_TOL, GAP_TOL, None),
         "partition": (lambda y, value: partition_oracle(model, y, eps), -1e-12, eps + 1e-12, None),
         "functions": (lambda y, value: randomized_function_oracle(model, y, args.max_groups),
                       -GAP_TOL, math.inf if args.max_groups == 1 and model.input_alphabet.size > 1
                       else GAP_TOL, None),
-        "strategies": (lambda y, value: value, 0.0, 0.0, strategies_hold),
+        "strategies": (strategies_oracle, -GAP_TOL, GAP_TOL, strategies_hold),
     }[args.oracle]
     rows = []
     pmls = leakage_profile(model).nats_array().tolist()

@@ -12,8 +12,25 @@ Each number key becomes one float array, in the order ``prior``,
 ``truncation_deficit``, ``channel``, ``row_deficits``.  The channel is read
 row by row with json's own scanner: a row that holds only numbers becomes a
 float64 array before the next row is scanned, so no more than one row of
-Python floats is alive, and a load peaks at about twice the file's size.
+Python floats is alive, and a first load peaks at about twice the file's size.
 Every key and every other value is what ``json.loads`` gives.
+
+``load_model`` caches each JSON model that loads without error, in
+``$XDG_CACHE_HOME/pmlkit`` (``~/.cache/pmlkit`` when that variable is unset,
+empty or relative), one entry per absolute path.  An entry holds the file's
+exact bytes, the model's labels as one JSON line, its float64 truncation
+deficit, prior, channel and row deficits, and a CRC-32 of what follows the
+bytes.  A later load reads the file and the entry's copy side by side, in
+chunks of ``_CHUNK`` bytes; only when every byte matches does it rebuild the
+model from the stored arrays, through the same constructors, so every law
+check runs again.  Anything else (no entry, another length or byte, a
+truncated or garbled entry, a cache it cannot read or write) falls back to
+the parser, which gives every error.  So a report is byte-identical with or
+without the cache, and deleting the directory is always safe.  Entries are
+written to a temporary file (mode 0600, in a directory made with mode 0700)
+and renamed into place; the oldest go first to keep the total within
+``CACHE_BYTES``, and an entry larger than that is not stored.
+``load_model_json`` is the uncached parser.
 
 The CSV alternative splits the model: the channel file has a header row
 of output symbols followed by one probability row per input symbol, and
@@ -24,13 +41,18 @@ each record whose cells are all whitespace.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
 import numbers
+import os
 import re
+import tempfile
+import zlib
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -40,7 +62,8 @@ from .distributions import (
     DiscreteDistribution,
     JointModel,
 )
-from .errors import ValidationError
+from . import __version__
+from .errors import PmlError, ValidationError
 
 PathLike = Union[str, Path]
 #: the JSON type of each type json.load returns, and of the model reader's float rows
@@ -201,8 +224,13 @@ def _parse_model(text: str, source) -> object:
 
 
 def load_model_json(path: PathLike) -> JointModel:
+    """The model in the JSON file ``path``, parsed with no cache."""
     # the text is released when the parse returns, before the rows are stacked
-    doc = _parse_model(Path(path).read_text(encoding="utf-8"), path)
+    return _model(_parse_model(Path(path).read_text(encoding="utf-8"), path), path)
+
+
+def _model(doc, path) -> JointModel:
+    """The model of a parsed model file's document; an error names ``path``."""
     if type(doc) is not dict:
         got = _JSON_TYPES[type(doc)]
         raise ValidationError(f"{path}: a model must be a JSON object, got a JSON {got}")
@@ -303,13 +331,164 @@ def _load_csv_pair(channel_path: PathLike, prior_path: PathLike) -> JointModel:
     return JointModel(prior, DiscreteChannel(prior.alphabet, output_alphabet, matrix))
 
 
+#: the largest total size of the cache's files, in bytes; a larger entry is not stored
+CACHE_BYTES = 256 << 20
+#: bytes of a model file, and of its cached copy, compared per read
+_CHUNK = 1 << 16
+#: an entry's first line is this, a space, the length of its byte copy and a newline
+_MAGIC = f"pmlkit {__version__} model cache 1".encode()
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # unset, empty or relative: the XDG default
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root, "pmlkit")
+
+
+def _make_room(entry: Path, temp: str, size: int) -> None:
+    """Delete the oldest files in ``entry``'s directory, other than ``entry`` and its new
+    temporary file ``temp``, until ``size`` more bytes fit within CACHE_BYTES."""
+    others = []
+    for item in os.scandir(entry.parent):
+        if item.name not in (entry.name, os.path.basename(temp)) and item.is_file(
+                follow_symlinks=False):
+            stat = item.stat(follow_symlinks=False)
+            others.append((stat.st_mtime_ns, stat.st_size, item.path))
+    total = size + sum(n for _, n, _ in others)
+    for _, n, path in sorted(others):
+        if total <= CACHE_BYTES:
+            break
+        with contextlib.suppress(FileNotFoundError):  # another load deleted it first
+            os.unlink(path)
+        total -= n
+
+
+class _Entry:
+    """The cache entry of the JSON model file ``path``, named by the CRC-32 of its absolute
+    path; exactness comes from comparing the bytes, not from the name.  A new entry is
+    written to a temporary file, which ``finish`` renames into place and ``drop`` deletes."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.file = _cache_dir() / f"{zlib.crc32(os.fsencode(os.path.abspath(path))):08x}"
+        self.out = self.temp = None
+
+    def model(self) -> Optional[JointModel]:
+        """The stored model, rebuilt and checked, when the stored copy holds the file's
+        bytes; None when it does not, or when the entry cannot be read."""
+        # a miss raises nothing: in a forked request, the first exception raised pages in
+        # about 0.4 MB of interpreter code
+        if not self.file.is_absolute() or not os.access(self.file, os.R_OK):
+            return None
+        try:
+            with open(self.file, "rb") as cached, open(self.path, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                if cached.readline(len(_MAGIC) + 32) != b"%s %d\n" % (_MAGIC, size):
+                    return None
+                for start in range(0, size, _CHUNK):
+                    n = min(_CHUNK, size - start)
+                    if fh.read(n) != cached.read(n):
+                        return None
+                if fh.read(1):  # the file grew after its size was read
+                    return None
+                rest = cached.read()
+            if zlib.crc32(memoryview(rest)[:-4]) != int.from_bytes(rest[-4:], "little"):
+                return None
+            end = rest.index(b"\n")
+            xs, ys = json.loads(rest[:end])
+            nx, ny = len(xs), len(ys)
+            values = np.frombuffer(rest, "<f8", 1 + nx * (ny + 2), end + 1)
+            if end + 1 + values.nbytes + 4 != len(rest):
+                return None
+            alphabet_x = Alphabet(xs)
+            return JointModel(DiscreteDistribution(alphabet_x, values[1:nx + 1], float(values[0])),
+                              DiscreteChannel(alphabet_x, Alphabet(ys),
+                                              values[nx + 1:-nx].reshape(nx, ny), values[-nx:]))
+        except (OSError, ValueError, TypeError, PmlError):  # the parser gives every error
+            return None
+
+    def begin(self, data: bytes) -> None:
+        """Start the new entry: its first line and ``data``, the file's bytes."""
+        if len(data) > CACHE_BYTES or not self.file.is_absolute():
+            return
+        try:
+            if not os.path.isdir(self.file.parent):
+                os.makedirs(self.file.parent, mode=0o700, exist_ok=True)
+            fd, self.temp = tempfile.mkstemp(suffix=".tmp", prefix=".", dir=self.file.parent)
+            self.out = os.fdopen(fd, "wb")
+            self.out.write(b"%s %d\n" % (_MAGIC, len(data)))
+            self.out.write(data)
+        except OSError:
+            self.drop()
+
+    def finish(self, model: JointModel) -> None:
+        """Add ``model``'s labels, its arrays and their CRC-32 to the new entry, and rename it
+        into place after making room for it; on any failure the entry stays unfinished."""
+        if self.out is None:
+            return
+        try:
+            labels = json.dumps([model.input_alphabet.symbols, model.output_alphabet.symbols])
+            floats = (model.prior.truncation_deficit, model.prior.probs, model.channel.matrix,
+                      model.channel.row_deficits)
+            parts = [labels.encode(), b"\n"] + [np.ascontiguousarray(v, "<f8") for v in floats]
+            crc = 0
+            for part in parts:
+                self.out.write(part)
+                crc = zlib.crc32(part, crc)
+            self.out.write(crc.to_bytes(4, "little"))
+            size = self.out.tell()
+            self.out.close()
+            if size <= CACHE_BYTES:
+                _make_room(self.file, self.temp, size)
+                os.replace(self.temp, self.file)
+                self.out = None
+        except OSError:
+            pass
+
+    def drop(self) -> None:
+        """Delete the unfinished new entry, if there is one."""
+        out, self.out = self.out, None
+        if out is not None:
+            with contextlib.suppress(OSError):
+                out.close()
+            with contextlib.suppress(OSError):
+                os.unlink(self.temp)
+
+
+def _read_text(path: Path, entry: _Entry) -> str:
+    """``path.read_text(encoding="utf-8")``, from one read of the file's bytes, which
+    ``entry`` copies before they are decoded."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    entry.begin(data)
+    # read_text's decoder: UTF-8, universal newlines, and its errors
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+def _load_json(path: Path) -> JointModel:
+    """``load_model_json(path)``, rebuilt from the file's cache entry when that holds the
+    file's bytes; otherwise parsed, and stored when it loads without error."""
+    entry = _Entry(path)
+    model = entry.model()
+    if model is not None:
+        return model
+    try:
+        # the bytes are released when _read_text returns, the text when the parse does
+        model = _model(_parse_model(_read_text(path, entry), path), path)
+        entry.finish(model)
+    finally:
+        entry.drop()  # nothing once the entry is in place
+    return model
+
+
 def load_model(channel_path: PathLike, prior_path: PathLike = None) -> JointModel:
     """Load a model from a combined JSON file or a CSV channel/prior pair."""
     channel_path = Path(channel_path)
     if channel_path.suffix.lower() == ".json":
         if prior_path is not None:
             raise ValidationError(f"{channel_path} holds its prior; got a prior file {prior_path}")
-        return load_model_json(channel_path)
+        return _load_json(channel_path)
     if prior_path is None:
         raise ValidationError("CSV channels require a separate prior file")
     return _load_csv_pair(channel_path, prior_path)

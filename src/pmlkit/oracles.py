@@ -332,6 +332,20 @@ def randomized_strategy_check(
     return not np.any(grid @ pure > float(pure.max()) + 1e-12)
 
 
+def make_atom_gain(model: JointModel) -> GainFunction:
+    """Gain for guessing X itself, each atom weighted by its rarity: g(x, w) = 1{x = w} / P_X(x),
+    and 0 where P_X(x) = 0.  This is the epsilon-partition gain with every atom its own
+    cell: its prior optimum is 1 and its posterior optimum at y is max_x P(x|y) / P(x), so
+    its log ratio is the leakage at y.  An atom whose 1/P_X(x) overflows is refused."""
+    masses = model.prior.probs.tolist()
+    for x, mass in zip(model.input_alphabet.symbols, masses):
+        if mass > 0.0 and 1.0 / mass == math.inf:
+            raise CapacityError(f"prior atom {x!r} has mass {mass!r}, "
+                                "whose gain 1/mass overflows a float")
+    gains = np.diag([1.0 / mass if mass > 0.0 else 0.0 for mass in masses])
+    return GainFunction(model.input_alphabet, model.input_alphabet, gains)
+
+
 def make_guessing_gain(subchannel: DiscreteChannel) -> GainFunction:
     """Gain for guessing U exactly, where U is drawn from P_{U|X}:
     g(x, w) = P_{U|X=x}(w)."""

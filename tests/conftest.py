@@ -50,3 +50,12 @@ def random_model_with_zeros(rng, n_in, n_out):
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture(autouse=True)
+def model_cache(tmp_path_factory, monkeypatch):
+    """Each test's own model cache root, so no test reads or writes the home directory's;
+    a subprocess that inherits the environment uses it too."""
+    root = tmp_path_factory.mktemp("xdg_cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    return root / "pmlkit"

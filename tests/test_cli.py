@@ -13,6 +13,7 @@ from pmlkit import (
     DiscreteChannel,
     DiscreteDistribution,
     JointModel,
+    LeakageProfile,
     geometric_binary_model,
     leakage_profile,
     pml_closed_form,
@@ -329,14 +330,29 @@ def test_oracle_disagreement_exits_two(capsys, random_model_file, fixtures_dir, 
     assert len(doc["rows"]) == model.output_alphabet.size
     for row in doc["rows"]:
         assert row["ok"] is False
-        if oracle == "strategies":
-            assert (row["oracle"], row["gap"]) == (row["pml"], 0.0)
+        assert row["gap"] == row["pml"] - row["oracle"]
+        if oracle == "strategies":  # the atom gain attains pml; the mixture check failed
+            assert abs(row["gap"]) <= cli.GAP_TOL
         else:
             assert row["oracle"] == fake(model, row["outcome"])
-            assert row["gap"] == row["pml"] - row["oracle"]
     target = tmp_path / "report.json"
     assert run(capsys, *argv, "--output", str(target)) == (2, "", "")
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("oracle", ["subset", "partition", "functions", "strategies"])
+def test_a_pipeline_one_nat_high_fails_every_oracle(capsys, fixtures_dir, monkeypatch, oracle):
+    def inflated(model):
+        profile = leakage_profile(model)
+        nats = np.where(profile.weights.probs > 0, profile.nats_array() + 1.0, 0.0)
+        return LeakageProfile(profile.outcomes, nats, profile.weights)
+
+    monkeypatch.setattr(cli, "leakage_profile", inflated)
+    code, out, err = run(capsys, "verify", str(fixtures_dir / "cap10x8.json"), "--oracle", oracle)
+    assert (code, err) == (2, "")
+    rows = json.loads(out)["rows"]
+    assert rows and not any(row["ok"] for row in rows)
+    assert all(row["gap"] >= 1.0 - 1e-9 for row in rows)
 
 
 def test_grid_refusal_writes_its_report_to_output(capsys, fixtures_dir, tmp_path):

@@ -31,7 +31,7 @@ from pmlkit import (
 from pmlkit.errors import AlphabetMismatchError, CapacityError, ValidationError
 from pmlkit import cli, distributions, oracles
 from pmlkit.modelio import save_model_json
-from pmlkit.oracles import _simplex_grid
+from pmlkit.oracles import _simplex_grid, make_atom_gain
 from conftest import random_full_support_model, random_model_with_zeros
 
 
@@ -870,7 +870,9 @@ def test_event_oracles_share_one_cap():
     (lambda model, y: gain_ratio(model, y, GainFunction(model.input_alphabet, Alphabet([0]),
                                                         np.array([[0.0], [1.0]]))),
      "the gain ratio at outcome 1 overflows a float"),
-], ids=["subset", "functions", "shattering", "partition_gain", "gain_ratio"])
+    (lambda model, y: make_atom_gain(model),
+     "prior atom 1 has mass 5e-324, whose gain 1/mass overflows a float"),
+], ids=["subset", "functions", "shattering", "partition_gain", "gain_ratio", "atom_gain"])
 def test_ratios_past_the_float_range_are_refused(oracle, message):
     # Outcome 1 reveals the prior atom of 5e-324: its pml of 744.44 nats lies past
     # log(DBL_MAX), so the atom's ratio, and every event's holding it, is +inf.
@@ -880,6 +882,21 @@ def test_ratios_past_the_float_range_are_refused(oracle, message):
     with pytest.raises(CapacityError) as exc:
         oracle(model, 1)
     assert str(exc.value) == message
+
+
+def test_the_atom_gain_attains_pml():
+    # g(x, w) = 1{x = w} / P_X(x): its prior optimum is 1 and its posterior optimum
+    # max_x P(x|y) / P(x), so its log ratio is pml, zero-prior atoms included
+    models = [random_full_support_model(np.random.default_rng(173), 9, 5),
+              random_model_with_zeros(np.random.default_rng(179), 9, 6)]
+    for model in models:
+        gain = make_atom_gain(model)
+        assert gain.estimate_alphabet == model.input_alphabet
+        assert np.count_nonzero(gain.gains) == np.count_nonzero(model.prior.probs)
+        assert abs(float(np.max(gain.expected_gain(model.prior.probs))) - 1.0) <= 2.3e-16
+        for y, w in zip(model.output_alphabet.symbols, model.marginal.probs):
+            if w > 0:
+                assert abs(math.log(gain_ratio(model, y, gain)) - pml(model, y).nats) <= 1e-14
 
 
 def _gain(model):

@@ -9,7 +9,9 @@ their hashes checked once, so a change in what numpy draws shows as one
 failure, not hundreds.  Then every request runs through ``cli.main``
 (``make_fixtures.replay``), from the inputs' directory, with argparse's
 ``SystemExit`` caught and help texts wrapped at 80 columns, as in the
-recording.  A failure names each moved argv, which of its exit code,
+recording.  Every argv is replayed twice: on a cold model cache (the test's own,
+which the recording interpreters did not use) and again on the cache the first
+pass filled.  A failure names each moved argv, which of its exit code,
 stdout and stderr moved, and its exit code before and after; on a machine
 whose facts differ from the recorded ones it says so first.
 """
@@ -55,11 +57,13 @@ def _write_inputs(directory, manifest):
     return argvs
 
 
-def test_every_replayed_request_keeps_its_bytes(tmp_path, monkeypatch):
+def test_every_replayed_request_keeps_its_bytes(tmp_path, monkeypatch, model_cache):
     manifest = _manifest()
     argvs = _write_inputs(tmp_path, manifest)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
+    _check(manifest, [make_fixtures.replay(argv) for argv in argvs], make_fixtures.facts())
+    assert any(model_cache.iterdir())
     _check(manifest, [make_fixtures.replay(argv) for argv in argvs], make_fixtures.facts())
 
 
