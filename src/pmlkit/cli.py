@@ -45,9 +45,10 @@ from .leakage import (
 from .modelio import _csv, _json, _symbol_from_text, load_model, parse_json
 from .oracles import (
     GainFunction,
+    atom_gain,
+    atom_ratio,
     check_epsilon,
     gain_ratio,
-    make_atom_gain,
     partition_oracle,
     randomized_function_oracle,
     randomized_strategy_check,
@@ -121,37 +122,33 @@ def cmd_verify(args) -> tuple:
     if args.oracle == "strategies":  # only this oracle draws; --seed seeds its gains
         rng = random.Random(args.seed)
         gains = [_random_gain(rng, model) for _ in range(args.gains)]
-        atoms = make_atom_gain(model)
+        atoms = atom_gain(model)
 
-    def strategies_oracle(y, value) -> float:
-        return max(math.log(gain_ratio(model, y, g)) for g in (atoms, *gains))
+    def strategies_oracle(y) -> float:
+        ratios = [atom_ratio(model, y, atoms)] + [gain_ratio(model, y, g) for g in gains]
+        return max(map(math.log, ratios))
 
-    def strategies_hold(y, value) -> bool:
-        checks = [randomized_strategy_check(model, y, g, args.resolution) for g in gains]
-        bounded = [math.log(gain_ratio(model, y, g)) <= value + GAP_TOL for g in gains]
-        return all(checks) and all(bounded)
-
-    # oracle -> (its value at y, where the pipeline reads value; the band value - oracle must lie
-    # in; a further pass/fail check on the drawn gains, or None).  From two groups on, the
-    # functions oracle scores every event, as subset does (the binary-function reduction); one
-    # group on two or more inputs scores the full event alone, a lower bound, so its band is
-    # open above.  The strategies oracle's atom gain attains the leakage, so its band is
-    # subset's.
+    # oracle -> (its value at y; the band pml - oracle must lie in; a further check, or None).
+    # From two groups on, functions scores every event (the binary-function reduction); one
+    # group on two or more inputs scores the full event alone: a lower bound, open above.  The
+    # strategies atom gain attains pml, so subset's band also fails a drawn log ratio above
+    # pml + GAP_TOL, but in a window of at most half an ulp of pml (fl(pml + GAP_TOL) - pml).
     oracle_at, low, high, holds = {
-        "subset": (lambda y, value: subset_oracle(model, y), -GAP_TOL, GAP_TOL, None),
-        "partition": (lambda y, value: partition_oracle(model, y, eps), -1e-12, eps + 1e-12, None),
-        "functions": (lambda y, value: randomized_function_oracle(model, y, args.max_groups),
+        "subset": (lambda y: subset_oracle(model, y), -GAP_TOL, GAP_TOL, None),
+        "partition": (lambda y: partition_oracle(model, y, eps), -1e-12, eps + 1e-12, None),
+        "functions": (lambda y: randomized_function_oracle(model, y, args.max_groups),
                       -GAP_TOL, math.inf if args.max_groups == 1 and model.input_alphabet.size > 1
                       else GAP_TOL, None),
-        "strategies": (strategies_oracle, -GAP_TOL, GAP_TOL, strategies_hold),
+        "strategies": (strategies_oracle, -GAP_TOL, GAP_TOL, lambda y: all(
+            randomized_strategy_check(model, y, g, args.resolution) for g in gains)),
     }[args.oracle]
     rows = []
     pmls = leakage_profile(model).nats_array().tolist()
     for y, w, value in zip(model.output_alphabet.symbols, model.marginal.probs, pmls):
         if w > 0:
-            oracle = oracle_at(y, value)
+            oracle = oracle_at(y)
             gap = value - oracle
-            ok = low <= gap <= high and (holds is None or holds(y, value))
+            ok = low <= gap <= high and (holds is None or holds(y))
             rows.append({"outcome": y, "p_y": float(w), "pml": value / scale,
                          "oracle": oracle / scale, "gap": gap / scale, "ok": ok})
     all_ok = all(row["ok"] for row in rows)

@@ -79,10 +79,10 @@ class Alphabet:
         symbols = tuple(symbols)
         if len(symbols) < 1:
             raise ValidationError("alphabet must contain at least one symbol")
-        if len(set(symbols)) != len(symbols):
+        object.__setattr__(self, "_index", dict(zip(symbols, range(len(symbols)))))
+        if len(self._index) != len(symbols):
             raise ValidationError("alphabet symbols must be unique")
         object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
 
     @property
     def size(self) -> int:

@@ -85,6 +85,21 @@ def _posterior(model: JointModel, y: Symbol) -> DiscreteDistribution:
     return posterior(model, y)
 
 
+def _finite(value: float, what: str, *args) -> float:
+    """``value``, refused if it lies past the float range; ``what.format(*args)`` names it."""
+    if abs(value) == math.inf:
+        raise CapacityError(f"{what.format(*args)} overflows a float")
+    return value
+
+
+def _best_ratio(y: Symbol, post: np.ndarray, prior: np.ndarray) -> float:
+    """max(post) / max(prior) over the expected gains at y and a priori, as ``gain_ratio`` says."""
+    num, den = float(np.max(post)), float(np.max(prior))
+    if den == 0.0:
+        return math.inf if num > 0.0 else 1.0
+    return _finite(num / den, "the gain ratio at outcome {!r}", y)
+
+
 def gain_ratio(model: JointModel, y: Symbol, g: GainFunction) -> float:
     """Best posterior expected gain over best prior expected gain.
 
@@ -96,14 +111,16 @@ def gain_ratio(model: JointModel, y: Symbol, g: GainFunction) -> float:
     """
     if g.x_alphabet.symbols != model.input_alphabet.symbols:
         raise AlphabetMismatchError("gain function secret alphabet does not match model")
-    num = float(np.max(g.expected_gain(_posterior(model, y).probs)))
-    den = float(np.max(g.expected_gain(model.prior.probs)))
-    if den == 0.0:
-        return math.inf if num > 0.0 else 1.0
-    ratio = num / den
-    if ratio == math.inf:
-        raise CapacityError(f"the gain ratio at outcome {y!r} overflows a float")
-    return ratio
+    return _best_ratio(y, g.expected_gain(_posterior(model, y).probs),
+                       g.expected_gain(model.prior.probs))
+
+
+def _rarity_gain(mass: float, holder: str, label) -> float:
+    """1/mass for a positive prior mass, 0 for a null one; ``holder.format(label)`` names its
+    holder in the refusal of a 1/mass past the float range."""
+    if mass <= 0.0:
+        return 0.0
+    return _finite(1.0 / mass, holder + " mass {!r}, whose gain 1/mass", label, mass)
 
 
 def _set_ratios(post_sums: np.ndarray, prior_sums: np.ndarray) -> np.ndarray:
@@ -178,9 +195,7 @@ def _event_extremes(model: JointModel, y: Symbol) -> Tuple[float, float]:
             if d == n - k:
                 full = ratios[-1]
             stack.extend((d + 1, atom) for atom in range(n - 1, top, -1))
-    if first == math.inf:
-        raise CapacityError(f"the largest event ratio at outcome {y!r} overflows a float")
-    return float(first), float(full)
+    return _finite(float(first), "the largest event ratio at outcome {!r}", y), float(full)
 
 
 def subset_oracle(model: JointModel, y: Symbol) -> float:
@@ -201,19 +216,13 @@ class PartitionGain:
     cells: Mapping[float, Tuple[Symbol, ...]]
 
     def to_gain_function(self, model: JointModel) -> GainFunction:
-        labels = [str(w) for w in sorted(self.cells)]
-        estimate = Alphabet(labels)
-        gains = np.zeros((model.input_alphabet.size, estimate.size))
-        for j, w in enumerate(sorted(self.cells)):
+        order = sorted(self.cells)
+        gains = np.zeros((model.input_alphabet.size, len(order)))
+        for j, w in enumerate(order):
             idx = [model.input_alphabet.index(x) for x in self.cells[w]]
             mass = float(model.prior.probs[idx].sum())
-            if mass > 0.0:
-                gain = 1.0 / mass
-                if gain == math.inf:
-                    raise CapacityError(f"partition cell {w} has prior mass {mass!r}, "
-                                        "whose gain 1/mass overflows a float")
-                gains[idx, j] = gain
-        return GainFunction(model.input_alphabet, estimate, gains)
+            gains[idx, j] = _rarity_gain(mass, "partition cell {} has prior", w)
+        return GainFunction(model.input_alphabet, Alphabet([str(w) for w in order]), gains)
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -229,11 +238,8 @@ def build_partition_gain(model: JointModel, y: Symbol, epsilon: float) -> Partit
     for x, f in zip(model.input_alphabet.symbols, ratios.tolist()):
         w = -math.inf
         if f > 0.0:
-            band = math.log(f) / epsilon
-            if not math.isfinite(band):
-                raise CapacityError(f"at outcome {y!r} the band log(ratio) / eps of input {x!r} "
-                                    "overflows a float")
-            w = math.floor(band)
+            w = math.floor(_finite(math.log(f) / epsilon,
+                                   "at outcome {!r} the band log(ratio) / eps of input {!r}", y, x))
         cells.setdefault(w, []).append(x)
     return PartitionGain(epsilon, {w: tuple(xs) for w, xs in cells.items()})
 
@@ -269,9 +275,7 @@ def shattering_value(
     prior_w = np.bincount(codes, weights=model.prior.probs)
     # the groups' union has a ratio of about 1, so the maximum is positive
     best = float(_set_ratios(post_w, prior_w).max())
-    if best == math.inf:
-        raise CapacityError(f"the largest group ratio at outcome {y!r} overflows a float")
-    return math.log(best)
+    return math.log(_finite(best, "the largest group ratio at outcome {!r}", y))
 
 
 def randomized_function_oracle(model: JointModel, y: Symbol, max_groups: int) -> float:
@@ -314,8 +318,8 @@ def randomized_strategy_check(
 
     Walks a simplex grid over the estimate alphabet and checks every
     mixture's expected posterior gain against the pure optimum (within
-    1e-12).  Always true by the mixture argument; this is the oracle
-    confirming it numerically.
+    1e-12, times the optimum past 1).  Always true by the mixture argument;
+    this is the oracle confirming it numerically.
     """
     if g.x_alphabet.symbols != model.input_alphabet.symbols:
         raise AlphabetMismatchError("gain function secret alphabet does not match model")
@@ -329,21 +333,19 @@ def randomized_strategy_check(
         raise CapacityError(f"simplex resolution must lie in [1, {STRATEGY_RESOLUTION_CAP}]")
     pure = g.expected_gain(_posterior(model, y).probs)
     grid = _simplex_grid(g.estimate_alphabet.size, grid_resolution)
-    return not np.any(grid @ pure > float(pure.max()) + 1e-12)
+    return not np.any(grid @ pure > pure.max() + 1e-12 * max(1.0, pure.max()))
 
 
-def make_atom_gain(model: JointModel) -> GainFunction:
-    """Gain for guessing X itself, each atom weighted by its rarity: g(x, w) = 1{x = w} / P_X(x),
-    and 0 where P_X(x) = 0.  This is the epsilon-partition gain with every atom its own
-    cell: its prior optimum is 1 and its posterior optimum at y is max_x P(x|y) / P(x), so
-    its log ratio is the leakage at y.  An atom whose 1/P_X(x) overflows is refused."""
-    masses = model.prior.probs.tolist()
-    for x, mass in zip(model.input_alphabet.symbols, masses):
-        if mass > 0.0 and 1.0 / mass == math.inf:
-            raise CapacityError(f"prior atom {x!r} has mass {mass!r}, "
-                                "whose gain 1/mass overflows a float")
-    gains = np.diag([1.0 / mass if mass > 0.0 else 0.0 for mass in masses])
-    return GainFunction(model.input_alphabet, model.input_alphabet, gains)
+def atom_gain(model: JointModel) -> np.ndarray:
+    """The diagonal 1 / P_X(x) (0 where P_X(x) = 0) of the gain for guessing X itself: the
+    epsilon-partition gain with every atom its own cell, whose log ratio is the leakage."""
+    return np.array([_rarity_gain(mass, "prior atom {!r} has", x) for x, mass
+                     in zip(model.input_alphabet.symbols, model.prior.probs.tolist())])
+
+
+def atom_ratio(model: JointModel, y: Symbol, gain: np.ndarray) -> float:
+    """``gain_ratio`` of the atom gain, with no |X|×|X| table: column x holds P(x)·g(x) alone."""
+    return _best_ratio(y, _posterior(model, y).probs * gain, model.prior.probs * gain)
 
 
 def make_guessing_gain(subchannel: DiscreteChannel) -> GainFunction:

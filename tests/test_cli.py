@@ -340,6 +340,24 @@ def test_oracle_disagreement_exits_two(capsys, random_model_file, fixtures_dir, 
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_a_drawn_gain_above_pml_fails_every_strategies_row(capsys, tmp_path, monkeypatch):
+    # Every drawn gain scored one nat above its own ratio, on a model that leaks at most
+    # log 1.1 nats: each outcome's oracle, the largest log ratio, passes pml + GAP_TOL,
+    # so the band alone fails every row.
+    a = Alphabet(["x0", "x1", "x2", "x3"])
+    matrix = [[0.5, 0.5], [0.45, 0.55], [0.55, 0.45], [0.5, 0.5]]
+    path = tmp_path / "near_uniform.json"
+    save_model_json(JointModel(DiscreteDistribution(a, [0.25] * 4),
+                               DiscreteChannel(a, Alphabet(["y0", "y1"]), matrix)), path)
+    ratio = cli.gain_ratio
+    monkeypatch.setattr(cli, "gain_ratio", lambda model, y, g: math.e * ratio(model, y, g))
+    code, out, err = run(capsys, "verify", str(path), "--oracle", "strategies", "--gains", "3")
+    assert (code, err) == (2, "")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 2 and not any(row["ok"] for row in rows)
+    assert all(row["pml"] < 0.1 and row["gap"] < -0.5 for row in rows)
+
+
 @pytest.mark.parametrize("oracle", ["subset", "partition", "functions", "strategies"])
 def test_a_pipeline_one_nat_high_fails_every_oracle(capsys, fixtures_dir, monkeypatch, oracle):
     def inflated(model):

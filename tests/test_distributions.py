@@ -27,11 +27,16 @@ from conftest import random_full_support_model
 
 
 def test_alphabet_rejects_duplicates_and_empty():
-    with pytest.raises(ValidationError):
-        Alphabet(["a", "a"])
-    with pytest.raises(ValidationError):
+    for symbols in (["a", "a"], [1, True], [1, "b", 1.0]):  # equal labels are duplicates
+        with pytest.raises(ValidationError, match="^alphabet symbols must be unique$"):
+            Alphabet(symbols)
+    with pytest.raises(ValidationError, match="^alphabet must contain at least one symbol$"):
         Alphabet([])
-    assert len(Alphabet(["a", "b", 3])) == 3
+    with pytest.raises(TypeError, match="^unhashable type: 'list'$"):
+        Alphabet(["a", ["b"]])
+    alphabet = Alphabet(["a", "b", 3])
+    assert len(alphabet) == 3
+    assert [alphabet.index(s) for s in ("a", "b", 3)] == [0, 1, 2]
 
 
 def test_distribution_validation():

@@ -31,7 +31,7 @@ from pmlkit import (
 from pmlkit.errors import AlphabetMismatchError, CapacityError, ValidationError
 from pmlkit import cli, distributions, oracles
 from pmlkit.modelio import save_model_json
-from pmlkit.oracles import _simplex_grid, make_atom_gain
+from pmlkit.oracles import _simplex_grid, atom_gain, atom_ratio
 from conftest import random_full_support_model, random_model_with_zeros
 
 
@@ -302,6 +302,14 @@ class TestStrategyCheck:
         pure = post @ g.gains
         # any mixture of the tied optima meets the pure optimum exactly
         assert 0.5 * pure[0] + 0.5 * pure[1] == pytest.approx(pure.max(), abs=1e-12)
+
+    @pytest.mark.parametrize("constant", [1e5, 1e8])
+    def test_a_constant_gain_passes_at_any_scale(self, constant):
+        # every mixture of equal expected gains is that gain; rounding may put a
+        # mixture's sum an ulp above it, which a slack of 1e-12 alone misses past 1e4
+        model = random_full_support_model(np.random.default_rng(229), 3, 3)
+        g = GainFunction(model.input_alphabet, Alphabet([0, 1, 2]), np.full((3, 3), constant))
+        assert randomized_strategy_check(model, "y0", g, 50)
 
     def test_vertex_only_resolution(self):
         rng = np.random.default_rng(67)
@@ -800,6 +808,43 @@ class TestPosteriorMemo:
         assert built.count(12) - 1 <= 6
 
 
+def test_strategies_score_each_drawn_gain_once(tmp_path, monkeypatch, capsys):
+    # one gain_ratio per drawn gain at each outcome, in draw order; the atom gain
+    # takes its own route, and no second pass re-scores a drawn gain
+    model = random_model_with_zeros(np.random.default_rng(231), 7, 5)
+    path = tmp_path / "model.json"
+    save_model_json(model, path)
+    calls = []
+
+    def counting(model, y, g):
+        calls.append((y, g))
+        return gain_ratio(model, y, g)
+
+    monkeypatch.setattr(cli, "gain_ratio", counting)
+    assert cli.main(["verify", str(path), "--oracle", "strategies", "--gains", "4"]) == 0
+    capsys.readouterr()
+    gains = [g for _, g in calls[:4]]
+    assert len(set(map(id, gains))) == 4
+    assert calls == [(y, g) for y in _outcomes(model) for g in gains]
+
+
+def test_strategies_hold_no_table_over_pairs_of_inputs(tmp_path, capsys):
+    # The atom gain is held as its 1,000 diagonal entries and scored from them: a
+    # dense 1,000 x 1,000 table of floats, or one product with it, is 8 MB.
+    model = random_full_support_model(np.random.default_rng(233), 1000, 2)
+    path = tmp_path / "wide.json"
+    save_model_json(model, path)
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", str(path), "--oracle", "strategies", "--gains", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 2**20
+
+
 def test_function_oracle_covers_every_map_to_k_labels():
     # Every map E -> [k] from itertools.product, scored by shattering_value:
     # a route that shares no code with the partition enumeration.
@@ -870,7 +915,7 @@ def test_event_oracles_share_one_cap():
     (lambda model, y: gain_ratio(model, y, GainFunction(model.input_alphabet, Alphabet([0]),
                                                         np.array([[0.0], [1.0]]))),
      "the gain ratio at outcome 1 overflows a float"),
-    (lambda model, y: make_atom_gain(model),
+    (lambda model, y: atom_gain(model),
      "prior atom 1 has mass 5e-324, whose gain 1/mass overflows a float"),
 ], ids=["subset", "functions", "shattering", "partition_gain", "gain_ratio", "atom_gain"])
 def test_ratios_past_the_float_range_are_refused(oracle, message):
@@ -884,19 +929,49 @@ def test_ratios_past_the_float_range_are_refused(oracle, message):
     assert str(exc.value) == message
 
 
+def test_the_atom_gain_refuses_its_first_atom_past_the_float_range():
+    # both subnormal atoms have a 1/mass past DBL_MAX; the refusal names the first
+    a = Alphabet(["a", "b", "c", "d"])
+    prior = DiscreteDistribution(a, [0.5, 1e-320, 0.5, 5e-324])
+    model = JointModel(prior, identity_channel(a))
+    with pytest.raises(CapacityError, match=r"^prior atom 'b' has mass 1e-320, whose gain 1/mass "
+                                            r"overflows a float$"):
+        atom_gain(model)
+
+
 def test_the_atom_gain_attains_pml():
     # g(x, w) = 1{x = w} / P_X(x): its prior optimum is 1 and its posterior optimum
     # max_x P(x|y) / P(x), so its log ratio is pml, zero-prior atoms included
     models = [random_full_support_model(np.random.default_rng(173), 9, 5),
               random_model_with_zeros(np.random.default_rng(179), 9, 6)]
     for model in models:
-        gain = make_atom_gain(model)
-        assert gain.estimate_alphabet == model.input_alphabet
-        assert np.count_nonzero(gain.gains) == np.count_nonzero(model.prior.probs)
-        assert abs(float(np.max(gain.expected_gain(model.prior.probs))) - 1.0) <= 2.3e-16
-        for y, w in zip(model.output_alphabet.symbols, model.marginal.probs):
-            if w > 0:
-                assert abs(math.log(gain_ratio(model, y, gain)) - pml(model, y).nats) <= 1e-14
+        gain = atom_gain(model)
+        assert gain.shape == (model.input_alphabet.size,)
+        assert np.array_equal(gain > 0, model.prior.probs > 0)
+        assert abs(float(np.max(model.prior.probs * gain)) - 1.0) <= 2.3e-16
+        for y in _outcomes(model):
+            assert abs(math.log(atom_ratio(model, y, gain)) - pml(model, y).nats) <= 1e-14
+
+
+def _with_subnormal_atom(model):
+    """``model`` with its last prior atom moved to 1e-308, subnormal, whose 1/mass is finite."""
+    prior = model.prior.probs.copy()
+    prior[-1], prior[0] = 1e-308, prior[0] + prior[-1]
+    return JointModel(DiscreteDistribution(model.input_alphabet, prior), model.channel)
+
+
+def test_the_atom_diagonal_scores_as_its_dense_table():
+    # Each column of the dense table diag(g) holds one entry, so every expected gain,
+    # and so the ratio, has the same bits from the diagonal alone.
+    models = [random_model_with_zeros(np.random.default_rng(seed), n, 5)
+              for seed, n in ((211, 7), (223, 12), (227, 30))]
+    models += [_with_subnormal_atom(model) for model in models]
+    assert all((model.prior.probs == 0).any() for model in models)
+    for model in models:
+        gain = atom_gain(model)
+        dense = GainFunction(model.input_alphabet, model.input_alphabet, np.diag(gain))
+        for y in _outcomes(model):
+            assert atom_ratio(model, y, gain) == gain_ratio(model, y, dense)
 
 
 def _gain(model):
