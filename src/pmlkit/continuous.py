@@ -1,5 +1,5 @@
 """Leakage for density models: likelihood-ratio suprema on a grid,
-the closed-form family catalog, and the exp-leakage integrability probe.
+the closed-form family catalog, and the exact exp-leakage integrability probe.
 
 The continuous leakage of an outcome y is the essential supremum over
 the prior of f_{Y|X}(y, x) / f_Y(y).  Numerically this is a plain
@@ -358,13 +358,13 @@ def _linear_gaussian(model: ClosedFormModel, refusal: str) -> Tuple[float, float
 
 
 def to_density_model(
-    model: ClosedFormModel, quantile_clip: float = 1e-9
+    model: ClosedFormModel, quantile_clip: float = GridSpec.quantile_clip
 ) -> DensityModel:
     """Grid-checkable density model for the continuous-secret families."""
     sx, slope, cond, s_y = _linear_gaussian(
         model, f"grid checks require a continuous secret; family {model.family!r} unsupported"
     )
-    half = sx * _norm_isf(quantile_clip)
+    half = sx * _norm_isf(GridSpec(quantile_clip=quantile_clip).quantile_clip)
     return DensityModel(
         x_domain=(-half, half),
         prior_density=lambda x: _norm_pdf(x, scale=sx),
@@ -404,17 +404,14 @@ def mixture_limit_check(sigma: float, y_magnitude: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class IntegrabilityProbe:
-    """Seeded Monte Carlo estimates of E[exp leakage], with the analytic
-    divergence verdict.
-
-    Only the divergence signature is meaningful: when the flag is set,
-    the expectation is infinite and the estimates grow without bound.
-    """
+    """The exact E[exp leakage(Y) | |Y| <= t * s_y] at each truncation t, given in
+    standard deviations s_y of the outcome Y, with the analytic divergence verdict:
+    when ``diverges`` is set, the estimates grow linearly in t and the maximal
+    leakage log E[exp leakage(Y)] is infinite."""
 
     family: str
-    sample_counts: Tuple[int, ...]
+    truncations: Tuple[float, ...]
     estimates: Tuple[float, ...]
-    seed: int
     diverges: bool
 
     @property
@@ -428,32 +425,30 @@ class IntegrabilityProbe:
 
 
 def integrability_probe(
-    model: ClosedFormModel, sample_counts: Sequence[int], seed: int = 42
+    model: ClosedFormModel, truncations: Sequence[float]
 ) -> IntegrabilityProbe:
-    """Monte Carlo means of exp(leakage(Y)) with Y drawn from the marginal.
+    """The exact E[exp(leakage(Y)) | |Y| <= t * s_y] for each truncation t.
 
     For a linear-Gaussian family with a nonzero slope the integrand is
     s_y / cond * exp(y^2 / (2 s_y^2)), whose exponent exactly cancels the
-    marginal's Gaussian decay, so the expectation diverges.  With slope 0
-    (the bivariate family at rho = 0) Y is independent of X and the
-    integrand is 1.
+    marginal's Gaussian decay: times Y's density it is 1 / (sqrt(2 pi) cond),
+    so the mean is s_y / cond * 2t / (sqrt(2 pi) erf(t / sqrt(2))), linear in t.
+    With slope 0 (the bivariate family at rho = 0) Y is independent of X and
+    the integrand is 1.  Each t must be a normal float: erf of a subnormal has lost bits.
     """
-    counts = tuple(int(n) for n in sample_counts)
-    if len(counts) < 3 or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ValidationError("sample_counts must be at least 3 increasing integers")
+    ts = tuple(float(t) for t in truncations)
+    if len(ts) < 3 or not all(2.0**-1022 <= a < b < math.inf for a, b in zip(ts, ts[1:])):
+        raise ValidationError(f"truncations must be at least 3 increasing positive normal "
+                              f"floats, got {ts!r}")
     _, slope, cond, s_y = _linear_gaussian(
         model, f"integrability probe supports Gaussian families only, not {model.family!r}"
     )
-    if slope == 0.0:
-        exp_leak = np.ones_like
-    else:
-        exp_leak = lambda ys: s_y / cond * np.exp(ys * ys / (2.0 * s_y**2))
-    rng = np.random.default_rng(seed)
-    estimates = []
-    for n in counts:
-        ys = rng.normal(0.0, s_y, size=n)
-        estimates.append(float(np.mean(exp_leak(ys))))
-    return IntegrabilityProbe(model.family, counts, tuple(estimates), seed, slope != 0.0)
+    estimates = tuple(1.0 if slope == 0.0 else
+                      s_y / cond * 2.0 * t / (_SQRT_2PI * math.erf(t / math.sqrt(2.0)))
+                      for t in ts)
+    if estimates[-1] == math.inf:  # the largest
+        raise CapacityError(f"E[exp leakage] at truncation {ts[-1]!r} overflows a float")
+    return IntegrabilityProbe(model.family, ts, estimates, slope != 0.0)
 
 
 def discretize_poisson_binomial(

@@ -68,7 +68,9 @@ class GainFunction:
 
     def expected_gain(self, probs: np.ndarray) -> np.ndarray:
         """Expected gain of each pure estimate under the given law on X, summed
-        in numpy's fixed order rather than by a CPU-dependent BLAS kernel."""
+        by numpy rather than a CPU-dependent BLAS kernel, in an order set by the
+        table's layout: a one-estimate table pairwise, a wider C-ordered one row by
+        row in index order, so a column's last bits can differ between the two."""
         return (probs[:, None] * self.gains).sum(axis=0)
 
 

@@ -197,13 +197,13 @@ def test_criterion_7_data_processing():
 def test_criterion_8_non_integrability_signature():
     started = time.time()
     gauss = ClosedFormModel("additive_gaussian", {"sigma_x": 1.0, "sigma_n": 1.0})
-    probe = integrability_probe(gauss, [10**3, 10**4, 10**5], seed=42)
+    probe = integrability_probe(gauss, [1.0, 2.0, 4.0])
     assert probe.strictly_increasing
     assert probe.diverges
     control = ClosedFormModel(
         "bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 1.0, "rho": 0.0}
     )
-    ctrl = integrability_probe(control, [10**3, 10**4, 10**5], seed=42)
+    ctrl = integrability_probe(control, [1.0, 2.0, 4.0])
     assert not ctrl.diverges
     assert all(abs(e - 1.0) <= 1e-12 for e in ctrl.estimates)
     announce(8, "exp-leakage divergence signature + integrable control", started)

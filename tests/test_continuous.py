@@ -409,6 +409,15 @@ def test_quantile_clip_bound_is_the_largest_that_builds_a_density():
                 assert pml_density(density, 0.5, grid).grid == grid
 
 
+def test_density_model_takes_the_clips_a_grid_spec_takes():
+    model = ClosedFormModel("additive_gaussian", {"sigma_x": 1.3, "sigma_n": 0.4})
+    assert to_density_model(model).x_domain == to_density_model(
+        model, GridSpec().quantile_clip).x_domain
+    for clip in (0.0, 1.0, -1e-9, 1e-6, math.nan, math.inf):
+        with pytest.raises(ValidationError, match=r"quantile_clip must lie in \(0, 4.9e-07\]"):
+            to_density_model(model, clip)
+
+
 def test_density_model_requires_normalized_prior():
     model = DensityModel(
         x_domain=(-1.0, 1.0),
@@ -443,15 +452,26 @@ def test_prior_mass_is_checked_on_the_grid_scanned():
 
 def test_integrability_probe_additive_gaussian():
     m = ClosedFormModel("additive_gaussian", {"sigma_x": 1.0, "sigma_n": 1.0})
-    probe = integrability_probe(m, [10**3, 10**4, 10**5], seed=42)
+    probe = integrability_probe(m, [1, 2.5, 4, 1e5])
+    assert probe.truncations == (1.0, 2.5, 4.0, 1e5)
     assert probe.diverges
     assert probe.strictly_increasing
     assert probe.eventually_increasing
+    # linear in t once erf(t / sqrt 2) is 1 in floats: s_y / cond * 2t / sqrt(2 pi)
+    assert probe.estimates[-1] == pytest.approx(math.sqrt(2.0) * 2e5 / math.sqrt(2 * math.pi),
+                                                rel=1e-15)
+
+
+def test_integrability_probe_tends_to_exp_a0():
+    # E[exp leakage | |Y| <= t s_y] -> exp(leakage(0)) = s_y / cond as t -> 0
+    m = ClosedFormModel("bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 2.0, "rho": 0.6})
+    probe = integrability_probe(m, [1e-9, 1e-8, 1e-7])
+    assert probe.estimates == pytest.approx([1.25] * 3, rel=1e-14)
 
 
 def test_integrability_probe_bivariate_control():
     m = ClosedFormModel("bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 1.0, "rho": 0.0})
-    probe = integrability_probe(m, [10**3, 10**4, 10**5], seed=42)
+    probe = integrability_probe(m, [1, 2, 4])
     assert not probe.diverges
     assert all(abs(e - 1.0) <= 1e-12 for e in probe.estimates)
     correlated = ClosedFormModel("bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 1.0, "rho": 0.5})
@@ -468,27 +488,51 @@ def test_integrability_probe_bivariate_control():
     ],
     ids=["additive-equal", "additive-skewed", "bivariate", "bivariate-independent"],
 )
-def test_integrability_probe_is_the_mean_of_exp_closed_form(family, params, marginal_sd):
-    # the same seeded draws of Y, scored by the closed form one outcome at a time
+def test_integrability_probe_is_the_truncated_mean_of_exp_closed_form(
+        family, params, marginal_sd):
+    # a trapezoid rule of exp(closed form) times Y's N(0, s_y^2) density on
+    # [-t s_y, t s_y], divided by P(|Y| <= t s_y) = erf(t / sqrt 2): it ties the probe,
+    # which reads the family's shape, to the family's closed form
     model = ClosedFormModel(family, params)
-    counts = (100, 1000, 10000)
-    probe = integrability_probe(model, counts, seed=11)
-    rng = np.random.default_rng(11)
-    for n, estimate in zip(counts, probe.estimates):
-        ys = rng.normal(0.0, marginal_sd, size=n)
-        expected = math.fsum(math.exp(pml_closed_form(model, float(y)).nats) for y in ys) / n
-        assert estimate == pytest.approx(expected, rel=1e-12, abs=0.0)
+    truncations = (0.25, 1.0, 2.0, 4.0, 8.0)
+    probe = integrability_probe(model, truncations)
+    n = 20001
+    for t, estimate in zip(truncations, probe.estimates):
+        ys = np.linspace(-t * marginal_sd, t * marginal_sd, n)
+        exp_leak = np.array([math.exp(pml_closed_form(model, float(y)).nats) for y in ys])
+        mean = np.trapezoid(exp_leak * stats.norm.pdf(ys, scale=marginal_sd), ys)
+        mean /= math.erf(t / math.sqrt(2.0))
+        if probe.diverges:
+            # the product is the constant 1 / (sqrt(2 pi) cond), so the rule is exact up
+            # to rounding: each of the two exponents, at most t^2 / 2, is off by at most
+            # t^2 / 2 units of 2^-53, and the other operations add a few more (measured:
+            # at most 2.3e-15 relative, at t = 8)
+            assert mean == pytest.approx(estimate, rel=(t * t + 8) * 2.0**-53, abs=0.0)
+        else:
+            # the integrand is the density phi(z) / s_y; on z in [-t, t] with spacing
+            # h = 2t / (n - 1) the rule is off by at most 2t h^2 max|phi''| / 12, and
+            # max|phi''| = phi(0) = 1 / sqrt(2 pi)
+            h = 2.0 * t / (n - 1)
+            bound = 2.0 * t * h * h / (12.0 * math.sqrt(2.0 * math.pi))
+            bound /= math.erf(t / math.sqrt(2.0))
+            assert estimate == 1.0
+            assert mean == pytest.approx(1.0, rel=bound + 1e-14, abs=0.0)
 
 
 def test_integrability_probe_guards():
-    pois = ClosedFormModel("poisson_binomial", {"lam": 2.0, "p": 0.5})
-    with pytest.raises(CapabilityError):
-        integrability_probe(pois, [10, 20, 30])
     m = ClosedFormModel("additive_gaussian", {"sigma_x": 1.0, "sigma_n": 1.0})
-    with pytest.raises(ValidationError):
-        integrability_probe(m, [10, 20])
-    with pytest.raises(ValidationError):
-        integrability_probe(m, [30, 20, 10])
+    # a subnormal t is refused: there erf(t / sqrt 2) has lost bits, and the mean at
+    # t = 5e-324 would read 2/3 of its limit s_y / cond
+    for truncations in ([1, 2], [3, 2, 1], [1, 2, 2], [0, 1, 2], [-1, 1, 2], [1, 2, math.inf],
+                        [math.nan, 1, 2], [1, math.nan, 2], [1, 2, math.nan], [5e-324, 1, 2]):
+        with pytest.raises(ValidationError, match="truncations must be at least 3 increasing"):
+            integrability_probe(m, truncations)
+    # s_y / cond = 1e150: the mean at t = 1e300 lies past the float range
+    wide = ClosedFormModel("additive_gaussian", {"sigma_x": 1e75, "sigma_n": 1e-75})
+    assert integrability_probe(wide, [1.0, 2.0, 1e150]).strictly_increasing
+    with pytest.raises(CapacityError) as info:
+        integrability_probe(wide, [1.0, 2.0, 1e300])
+    assert str(info.value) == "E[exp leakage] at truncation 1e+300 overflows a float"
 
 
 def test_discretized_poisson_binomial_posterior_is_binomial():

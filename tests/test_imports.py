@@ -1,5 +1,6 @@
 """Import hygiene: the CLI, imported and run in a fresh interpreter, loads no scipy,
-and ``verify`` loads no ``numpy.random``, not even for the oracle that draws gains.
+and ``verify`` loads no ``numpy.random``, not even for the oracle that draws gains;
+nor does the integrability probe, which is in closed form.
 
 scipy takes most of an interpreter's start-up when it is imported, and
 only the library's Poisson truncation helpers need it.  ``numpy.random``
@@ -28,6 +29,18 @@ def loaded(name):
     return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
 print(json.dumps({"codes": codes, "scipy": loaded("scipy"),
                   "numpy.random": loaded("numpy.random")}))
+"""
+
+
+RUN_PROBE = """
+import json, sys
+from pmlkit import ClosedFormModel, integrability_probe
+for family, params in (("additive_gaussian", {"sigma_x": 1.0, "sigma_n": 1.0}),
+                       ("bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 1.0, "rho": 0.5}),
+                       ("bivariate_gaussian", {"sigma_x": 1.0, "sigma_y": 1.0, "rho": 0.0})):
+    integrability_probe(ClosedFormModel(family, params), [1, 2, 4])
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "numpy.random" or m.startswith("numpy.random."))))
 """
 
 
@@ -86,6 +99,15 @@ def test_strategies_request_loads_no_numpy_random(fixtures_dir, tmp_path):
     model = str(fixtures_dir / "identity4.json")
     requests = [(["verify", model, "--oracle", "strategies", "--gains", "3", "--seed", "7"], 0)]
     assert _run_fresh(requests, tmp_path)["numpy.random"] == []
+
+
+def test_integrability_probe_loads_no_numpy_random():
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_PROBE],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
 
 
 def test_star_import_binds_the_public_names_and_no_module():
